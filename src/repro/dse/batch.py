@@ -29,13 +29,17 @@ cache is seeded per point through the same key machinery, so memoisation,
 journal replay and farm admission dedup behave exactly as before
 (``CACHE_VERSION`` unchanged: the key material is untouched).
 
+Schedule transformations between lowering and pricing — the ``rewrite``
+and ``rewrite-profiled`` composites and the individual schedule steps of
+``auto:`` orderings — run per point on the lowered schedule through the
+stage's own transformation object (``apply``: the rewrite alone, without
+the report-only event-backend cycle measurement the pipeline records),
+then the rewritten schedules join the stacked pricing.
+
 Points the vector path cannot take verbatim fall back to scalar
 ``evaluate_point`` individually: the event cycle backend (its timeline is
 stateful, not a closed form) and pipelines whose terminal tail is not the
-stock generate → build → (rewrite…) → estimate sequence.  Rewrite
-variants *are* batched: the schedule rewriter runs per point between
-lowering and the stacked pricing, with the stage's own balance factor and
-cost source.
+stock generate → build → (schedule transformations…) → estimate sequence.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from repro.pipeline.passes import (
     EstimateAreaStage,
     GenerateHardwareStage,
     PassContext,
-    RewriteScheduleStage,
+    TransformationStage,
 )
 from repro.pipeline.pipeline import Pipeline
 from repro.ppl.program import Program
@@ -66,26 +70,27 @@ __all__ = ["evaluate_point_batch"]
 
 _MISS = object()
 
-_TERMINALS = (
-    GenerateHardwareStage,
-    BuildScheduleStage,
-    RewriteScheduleStage,
-    EstimateAreaStage,
-)
+_TERMINALS = (GenerateHardwareStage, BuildScheduleStage, EstimateAreaStage)
+
+
+def _is_schedule_stage(stage) -> bool:
+    return type(stage) is TransformationStage and stage.transformation.ir == "schedule"
 
 
 def _split_terminal_tail(pipe: Pipeline) -> Optional[Tuple[list, list]]:
-    """``(prefix passes, rewrite stages)`` for a standard pipeline, else None.
+    """``(prefix passes, schedule transformations)`` for a standard
+    pipeline, else None.
 
     The vector path replaces the terminal tail wholesale, so it only
     engages when the tail is exactly the stock sequence — generate-hardware,
-    build-schedule, zero or more rewrite-schedule stages, estimate-area —
-    with the stock classes (a subclass may do anything, so ``type`` checks,
-    not ``isinstance``).  Anything else falls back to scalar evaluation.
+    build-schedule, zero or more schedule-transformation stages,
+    estimate-area — with the stock classes (a subclass may do anything, so
+    ``type`` checks, not ``isinstance``).  Anything else falls back to
+    scalar evaluation.
     """
     split = len(pipe.passes)
     for index, stage in enumerate(pipe.passes):
-        if isinstance(stage, _TERMINALS):
+        if isinstance(stage, _TERMINALS) or _is_schedule_stage(stage):
             split = index
             break
     tail = pipe.passes[split:]
@@ -97,29 +102,10 @@ def _split_terminal_tail(pipe: Pipeline) -> Optional[Tuple[list, list]]:
         return None
     if type(tail[-1]) is not EstimateAreaStage:
         return None
-    rewrites = list(tail[2:-1])
-    if any(type(stage) is not RewriteScheduleStage for stage in rewrites):
+    rewrites = tail[2:-1]
+    if not all(_is_schedule_stage(stage) for stage in rewrites):
         return None
-    return list(pipe.passes[:split]), rewrites
-
-
-def _apply_rewrite(schedule, stage: RewriteScheduleStage, model):
-    """Run one rewrite stage's transformation exactly as the pass would.
-
-    The pass's event-backend cycle *measurement* only feeds the pipeline
-    report (never the result), so it is skipped here; the rewrite itself —
-    including ``"auto"`` balance tuning and event-profiled costs — runs
-    with the stage's own knobs against the session model, matching
-    ``RewriteScheduleStage.run``.
-    """
-    from repro.schedule.rewrite import DEFAULT_BALANCE_FACTOR, rewrite_schedule
-
-    factor = (
-        stage.balance_factor if stage.balance_factor is not None else DEFAULT_BALANCE_FACTOR
-    )
-    return rewrite_schedule(
-        schedule, model=model, balance_factor=factor, cost_source=stage.cost_source
-    ).schedule
+    return list(pipe.passes[:split]), [stage.transformation for stage in rewrites]
 
 
 def evaluate_point_batch(
@@ -230,8 +216,8 @@ def evaluate_point_batch(
                     shared=shared,
                 )
                 schedule = design.schedule()
-                for stage in rewrites:
-                    schedule = _apply_rewrite(schedule, stage, session.model)
+                for transformation in rewrites:
+                    schedule = transformation.apply(schedule, ctx)
                 designs.append(design)
                 schedules.append(schedule)
 

@@ -2,9 +2,10 @@
 
 The package decomposes the compiler into three layers:
 
-* :mod:`repro.pipeline.passes` — the :class:`PipelinePass` protocol and the
-  built-in passes: one wrapper per Section 4 transformation plus the
-  :class:`GenerateHardwareStage` / :class:`EstimateAreaStage` terminals;
+* :mod:`repro.pipeline.passes` — the :class:`PipelinePass` protocol,
+  :class:`TransformationStage` (runs any framework transformation) and the
+  :class:`GenerateHardwareStage` / :class:`BuildScheduleStage` /
+  :class:`EstimateAreaStage` terminals;
 * :mod:`repro.pipeline.pipeline` — :class:`Pipeline`: ordering with
   insertion/removal/replacement, per-pass wall-clock + IR-delta
   instrumentation (:class:`PipelineReport`) and structural-hash-aware
@@ -22,17 +23,12 @@ transform orderings alongside tile sizes and parallelism.
 
 from repro.pipeline.passes import (
     BuildScheduleStage,
-    CodeMotionStage,
-    CseStage,
     EstimateAreaStage,
     FixedPointPass,
-    FusionStage,
     GenerateHardwareStage,
-    InterchangeStage,
     PassContext,
     PipelinePass,
-    StripMineStage,
-    TileCopyStage,
+    TransformationStage,
 )
 from repro.pipeline.pipeline import PassRecord, Pipeline, PipelineOutcome, PipelineReport
 from repro.pipeline.session import CompilationResult, CompilerSession, Session
@@ -46,15 +42,11 @@ from repro.pipeline.variants import (
 
 __all__ = [
     "BuildScheduleStage",
-    "CodeMotionStage",
     "CompilationResult",
     "CompilerSession",
-    "CseStage",
     "EstimateAreaStage",
     "FixedPointPass",
-    "FusionStage",
     "GenerateHardwareStage",
-    "InterchangeStage",
     "PassContext",
     "PassRecord",
     "Pipeline",
@@ -62,8 +54,7 @@ __all__ = [
     "PipelinePass",
     "PipelineReport",
     "Session",
-    "StripMineStage",
-    "TileCopyStage",
+    "TransformationStage",
     "default_passes",
     "default_pipeline",
     "get_pipeline",

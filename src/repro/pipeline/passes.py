@@ -8,55 +8,47 @@ output may be memoised through the analysis cache.
 
 Two kinds of passes exist:
 
-* **transform passes** (fusion, strip mining, tile-copy insertion, CSE,
-  code motion, interchange) rewrite the program; their results are pure
-  functions of the program structure and the tiling-relevant configuration,
-  so they memoise on ``(structural hash, input/size names, cache_key)``;
+* :class:`TransformationStage` runs one framework transformation
+  (:mod:`repro.rewrite.framework`).  PPL transformations (fusion, strip
+  mining, tile-copy insertion, CSE, code motion, interchange, split strip
+  mining) rewrite the program; their results are pure functions of the
+  program structure and the tiling-relevant configuration, so they
+  memoise on ``(structural hash, input/size names, cache_key)``.  Schedule
+  transformations rewrite the schedule ``build-schedule`` deposited.
 * **terminal passes** (:class:`GenerateHardwareStage`,
-  :class:`EstimateAreaStage`) leave the program untouched and deposit
-  non-IR artifacts — the hardware design and its area report — into the
-  :class:`PassContext`.  They depend on the concrete workload bindings, so
-  they never memoise here (whole point evaluations are memoised one level
-  up, in the engine's ``point_results`` table).
+  :class:`BuildScheduleStage`, :class:`EstimateAreaStage`) leave the
+  program untouched and deposit non-IR artifacts — the hardware design,
+  its schedule and its area report — into the :class:`PassContext`.  They
+  depend on the concrete workload bindings, so they never memoise here
+  (whole point evaluations are memoised one level up, in the engine's
+  ``point_results`` table).
 
-All tiling-flow passes gate themselves on ``ctx.config.tiling``: with
-tiling disabled they return the program unchanged, which is what makes one
-pipeline serve the baseline and the optimised configurations alike.
+Transformations that declare ``requires_tiling`` are skipped when
+``ctx.config.tiling`` is off, which is what makes one pipeline serve the
+baseline and the optimised configurations alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Mapping, Optional, Tuple, Union
+from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 from repro.analysis.area import estimate_area
 from repro.config import CompileConfig
-from repro.dse.cache import ANALYSIS_CACHE, AnalysisCache, config_signature
+from repro.dse.cache import ANALYSIS_CACHE, AnalysisCache
 from repro.errors import PipelineError
 from repro.hw.generation import generate_hardware
 from repro.ppl.program import Program
 from repro.sim.model import PerformanceModel
 from repro.target.device import DEFAULT_BOARD, Board
-from repro.transforms.code_motion import CodeMotion
-from repro.transforms.cse import CommonSubexpressionElimination
-from repro.transforms.fusion import FusionPass
-from repro.transforms.interchange import InterchangePass
-from repro.transforms.strip_mining import StripMiningPass, TileCopyInsertionPass
 
 __all__ = [
     "PassContext",
     "PipelinePass",
     "FixedPointPass",
     "TransformationStage",
-    "FusionStage",
-    "StripMineStage",
-    "TileCopyStage",
-    "CseStage",
-    "CodeMotionStage",
-    "InterchangeStage",
     "GenerateHardwareStage",
     "BuildScheduleStage",
-    "RewriteScheduleStage",
     "EstimateAreaStage",
 ]
 
@@ -150,17 +142,17 @@ class TransformationStage(PipelinePass):
     only declares pattern/legality/apply/cost and becomes pipeline-able
     (and thereby a DSE-sweepable ordering step) for free.
 
-    * **PPL transformations** behave exactly like the legacy transform
-      stages: gated on ``ctx.config.tiling`` when the transformation
-      ``requires_tiling``, memoised on ``(signature, gate, config_key)``,
-      side outputs round-tripped through the transformation's
-      ``payload``/``restore`` hooks.
-    * **Schedule transformations** behave like the legacy
-      ``rewrite-schedule`` stage: never memoised, applied to the schedule
-      deposited by ``build-schedule`` (replacing
-      ``ctx.artifacts["schedule"]``), with the framework's invariant
-      checker (:func:`repro.schedule.rewrite.verify_rewrite`) asserted by
-      ``apply_schedule`` and per-run details surfaced in the pass record.
+    * **PPL transformations** are gated on ``ctx.config.tiling`` when the
+      transformation ``requires_tiling``, memoised on
+      ``(signature, gate, config_key)``, with side outputs round-tripped
+      through the transformation's ``payload``/``restore`` hooks.
+    * **Schedule transformations** are never memoised (the schedule is a
+      workload-bound artifact, like the design it was lowered from).  They
+      are applied to the schedule deposited by ``build-schedule``
+      (replacing ``ctx.artifacts["schedule"]``), with the framework's
+      invariant checker (:func:`repro.schedule.rewrite.verify_rewrite`)
+      asserted by ``apply_schedule`` and per-run details surfaced in the
+      pass record.
     """
 
     budget_seconds = 0.100
@@ -203,104 +195,6 @@ class TransformationStage(PipelinePass):
 
     def signature(self) -> Tuple[str, str]:
         return (f"TransformationStage[{self.transformation.signature()}]", self.name)
-
-
-class FusionStage(PipelinePass):
-    """Vertical producer/consumer fusion (assumed up-front in the paper)."""
-
-    name = "fusion"
-
-    def run(self, program: Program, ctx: PassContext) -> Program:
-        return FusionPass().run(program)
-
-    def cache_key(self, ctx: PassContext) -> Hashable:
-        return ()
-
-
-class _TilingGatedStage(PipelinePass):
-    """A transform that only applies when the configuration enables tiling."""
-
-    def run(self, program: Program, ctx: PassContext) -> Program:
-        if not ctx.config.tiling:
-            return program
-        return self.apply(program, ctx)
-
-    def apply(self, program: Program, ctx: PassContext) -> Program:
-        raise NotImplementedError
-
-    def cache_key(self, ctx: PassContext) -> Hashable:
-        if not ctx.config.tiling:
-            return (False,)
-        return (True,) + self.config_key(ctx)
-
-    def config_key(self, ctx: PassContext) -> Tuple:
-        """The tiling-relevant configuration this stage's output depends on."""
-        return ()
-
-
-class StripMineStage(_TilingGatedStage):
-    """Strip mining (Table 1): split each tiled pattern into tile loops."""
-
-    name = "strip-mine"
-
-    def apply(self, program: Program, ctx: PassContext) -> Program:
-        return StripMiningPass(ctx.config).run(program)
-
-    def config_key(self, ctx: PassContext) -> Tuple:
-        return (config_signature(ctx.config),)
-
-
-class TileCopyStage(_TilingGatedStage):
-    """Tile-copy insertion (Table 2): materialise predictable accesses."""
-
-    name = "tile-copies"
-
-    def apply(self, program: Program, ctx: PassContext) -> Program:
-        return TileCopyInsertionPass(ctx.config).run(program)
-
-    def config_key(self, ctx: PassContext) -> Tuple:
-        return (config_signature(ctx.config),)
-
-
-class CseStage(_TilingGatedStage):
-    """Common subexpression elimination over Lets (duplicate tile copies)."""
-
-    name = "cse"
-
-    def apply(self, program: Program, ctx: PassContext) -> Program:
-        return CommonSubexpressionElimination().run(program)
-
-
-class CodeMotionStage(_TilingGatedStage):
-    """Loop-invariant code motion (array tiles out of innermost patterns)."""
-
-    name = "code-motion"
-
-    def apply(self, program: Program, ctx: PassContext) -> Program:
-        return CodeMotion().run(program)
-
-
-class InterchangeStage(_TilingGatedStage):
-    """Pattern interchange with the on-chip-size split heuristic (Table 3)."""
-
-    name = "interchange"
-
-    def apply(self, program: Program, ctx: PassContext) -> Program:
-        interchange = InterchangePass(ctx.config)
-        result = interchange.run(program)
-        ctx.artifacts["applied_interchanges"] = list(getattr(interchange, "applied", []))
-        return result
-
-    def config_key(self, ctx: PassContext) -> Tuple:
-        return (config_signature(ctx.config),)
-
-    def payload(self, program: Program, ctx: PassContext) -> object:
-        return (program, tuple(ctx.artifacts.get("applied_interchanges", ())))
-
-    def restore(self, payload: object, ctx: PassContext) -> Program:
-        program, applied = payload  # type: ignore[misc]
-        ctx.artifacts["applied_interchanges"] = list(applied)
-        return program
 
 
 class FixedPointPass(PipelinePass):
@@ -400,105 +294,6 @@ class BuildScheduleStage(PipelinePass):
             )
         ctx.artifacts["schedule"] = design.schedule()
         return program
-
-
-class RewriteScheduleStage(PipelinePass):
-    """Terminal pass: optimise the schedule before it is timed and emitted.
-
-    Runs the schedule rewriter (:mod:`repro.schedule.rewrite`) — transfer
-    coalescing, stage rebalancing, degenerate-group flattening — on the
-    schedule deposited by ``build-schedule`` and replaces
-    ``ctx.artifacts["schedule"]`` with the rewritten copy, so every
-    downstream consumer (cycle backends, area estimate, traffic inventory,
-    MaxJ emission) sees the optimised structure.  The design's own cached
-    schedule is never mutated: with this stage absent (the ``default``
-    pipeline) nothing changes, bit for bit.
-
-    Per-rewrite hit counts — and, with ``measure_cycles`` (the default),
-    the before/after event-backend cycle delta — are reported through the
-    pass record's ``details`` in the :class:`PipelineReport`.  Never
-    memoised: the schedule is a workload-bound artifact, exactly like the
-    design it was lowered from.
-
-    ``balance_factor`` may be a number or ``"auto"`` (tune per schedule by
-    scoring rewritten candidates with the event backend);
-    ``cost_source`` picks the rebalancer's stage-cost oracle —
-    ``"analytical"`` closed forms or measured ``"event"`` stage profiles.
-    The ``rewrite-profiled`` pipeline variant runs with both set.
-    """
-
-    name = "rewrite-schedule"
-    budget_seconds = 0.100
-
-    def __init__(
-        self,
-        name: Optional[str] = None,
-        balance_factor: Union[float, str, None] = None,
-        measure_cycles: bool = True,
-        cost_source: str = "analytical",
-    ) -> None:
-        super().__init__(name)
-        self.balance_factor = balance_factor
-        self.measure_cycles = measure_cycles
-        self.cost_source = cost_source
-
-    def run(self, program: Program, ctx: PassContext) -> Program:
-        from repro.schedule.rewrite import DEFAULT_BALANCE_FACTOR, rewrite_schedule
-
-        schedule = ctx.artifacts.get("schedule")
-        if schedule is None:
-            raise PipelineError(
-                "rewrite-schedule needs a schedule: run build-schedule earlier "
-                "in the pipeline"
-            )
-        result = rewrite_schedule(
-            schedule,
-            model=ctx.model,
-            balance_factor=(
-                self.balance_factor
-                if self.balance_factor is not None
-                else DEFAULT_BALANCE_FACTOR
-            ),
-            cost_source=self.cost_source,
-        )
-        ctx.artifacts["schedule"] = result.schedule
-        details: Dict[str, object] = {
-            "rewrite_hits": dict(result.hits),
-            "rewrite_rounds": result.rounds,
-            "balance_factor": result.balance_factor,
-            "cost_source": self.cost_source,
-        }
-        if self.measure_cycles:
-            from repro.schedule.event import EventScheduleBackend
-
-            if result.changed:
-                before = EventScheduleBackend(ctx.model).run(schedule).cycles
-                after = EventScheduleBackend(ctx.model).run(result.schedule).cycles
-            else:
-                # No rewrite fired: the schedules are structurally
-                # identical, so one event run prices both.
-                before = after = EventScheduleBackend(ctx.model).run(schedule).cycles
-            details["event_cycles_before"] = before
-            details["event_cycles_after"] = after
-        ctx.artifacts[PASS_DETAILS_KEY] = details
-        return program
-
-    def signature(self) -> Tuple[str, str]:
-        """Fold the (resolved) balance factor and cost source in: both
-        change the rewritten schedule, so point-result cache keys must
-        distinguish rewriter tunings — including a future change of the
-        default factor.  ``"auto"`` stays symbolic (the tuned value is
-        schedule-dependent but deterministic given the workload, which the
-        rest of the key already pins)."""
-        from repro.schedule.rewrite import DEFAULT_BALANCE_FACTOR
-
-        factor = (
-            self.balance_factor if self.balance_factor is not None else DEFAULT_BALANCE_FACTOR
-        )
-        return (
-            f"{type(self).__name__}[bf={factor},cs={self.cost_source}]",
-            self.name,
-        )
 
 
 class EstimateAreaStage(PipelinePass):

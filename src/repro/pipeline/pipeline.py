@@ -198,7 +198,7 @@ class Pipeline:
                 f"duplicate pass names {sorted(duplicates)} in pipeline {name!r}: "
                 "names address passes for insertion/removal/replacement and must "
                 "be unique (instantiate the pass with an explicit name, e.g. "
-                "CseStage('post-cse'))"
+                "TransformationStage(LetCse(), name='post-cse'))"
             )
         self.passes: Tuple[PipelinePass, ...] = tuple(passes)
         self.name = name

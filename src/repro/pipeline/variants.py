@@ -7,10 +7,9 @@ code-motion cleanup, pattern interchange, a second cleanup ("we assume
 that code motion has been run again after pattern interchange has
 completed") — expressed as the ordering ``DEFAULT_ORDERING`` around the
 fixed terminal passes, and the hand-registered variants are edits of that
-ordering.  Results are bit-identical to the original hand-written stages:
-each framework transformation applies the same proven pass implementation
-(guarded by the golden Figure 7 numbers and the session-equivalence
-suite).
+ordering.  The golden Figure 7 numbers and the session-equivalence suite
+(which checks the pipeline against the hand-written
+:class:`~repro.transforms.tiling.TilingDriver` flow) guard the result.
 
 Variants are *factories* keyed by name; :func:`get_pipeline` resolves a
 name (or passes a :class:`~repro.pipeline.pipeline.Pipeline` instance

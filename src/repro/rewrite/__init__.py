@@ -1,10 +1,12 @@
 """repro.rewrite — the declarative pattern-matching transformation framework.
 
 One :class:`~repro.rewrite.framework.Transformation` protocol over both
-IRs (pattern → legality → apply → cost delta), the ported Section 4 and
-schedule rewrites, split strip-mining, and the legal-ordering search the
-DSE sweeps through the ``pipeline`` gene.  See the module docstrings of
-:mod:`repro.rewrite.framework` and :mod:`repro.rewrite.orderings`.
+IRs (pattern → legality → apply → cost delta), split strip-mining, and the
+legal-ordering search the DSE sweeps through the ``pipeline`` gene.  The
+Section 4 transformations live in :mod:`repro.transforms` and the schedule
+rules in :mod:`repro.schedule.rewrite`, each next to its helpers.  See the
+module docstrings of :mod:`repro.rewrite.framework` and
+:mod:`repro.rewrite.orderings`.
 """
 
 from repro.rewrite.framework import (
@@ -30,44 +32,20 @@ from repro.rewrite.orderings import (
     pipeline_for_name,
     pipeline_for_ordering,
 )
-from repro.rewrite.ppl import (
-    Interchange,
-    InvariantCodeMotion,
-    LetCse,
-    StripMine,
-    TileCopies,
-    VerticalFusion,
-)
-from repro.rewrite.schedule import (
-    CoalesceTransfers,
-    FlattenDegenerateGroups,
-    RebalanceStages,
-    ScheduleRewrite,
-)
 from repro.rewrite.splitting import SplitStripMining
 
 __all__ = [
     "AUTO_PREFIX",
-    "CoalesceTransfers",
     "CostDelta",
     "DEFAULT_ORDERING",
-    "FlattenDegenerateGroups",
-    "Interchange",
-    "InvariantCodeMotion",
-    "LetCse",
     "Match",
     "PplTransformation",
-    "RebalanceStages",
     "STEPS",
-    "ScheduleRewrite",
     "ScheduleTransformation",
     "ShapePattern",
     "SplitStripMining",
-    "StripMine",
-    "TileCopies",
     "Transformation",
     "TransformationError",
-    "VerticalFusion",
     "enumerate_legal_orderings",
     "find_matches",
     "guided_orderings",

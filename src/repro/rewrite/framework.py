@@ -24,18 +24,22 @@ gating, memoisation keys and schedule-artifact plumbing uniformly;
 :mod:`repro.rewrite.orderings` turns sequences of transformations into
 whole pipelines and enumerates the legal orderings the DSE sweeps.
 
-Matching is deliberately separate from applying: ``matches()`` is what the
-ordering search and the cost model consult ("would this fire here, and
-what would it buy?"), while ``apply()`` is the production rewrite — for
-the ported Section 4 transforms it delegates to the proven pass
-implementations so re-expressed pipelines stay bit-identical to the
-golden Figure 7 numbers.
+Each transformation is defined exactly once, next to the helpers it uses:
+the Section 4 transforms in :mod:`repro.transforms` (``VerticalFusion``,
+``LetCse``, ``InvariantCodeMotion``, ``StripMine``, ``TileCopies``,
+``Interchange``), the schedule rules and their composite in
+:mod:`repro.schedule.rewrite` (``FlattenDegenerateGroups``,
+``CoalesceTransfers``, ``RebalanceStages``, ``ScheduleRewrite``), and
+:class:`~repro.rewrite.splitting.SplitStripMining` here.  Matching is
+deliberately separate from applying: ``matches()`` is what the ordering
+search and the cost model consult ("would this fire here, and what would
+it buy?"), while ``apply()`` is the production rewrite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import TransformError
 
@@ -142,8 +146,8 @@ class Transformation:
     """One declarative rewrite: pattern + legality + apply + cost delta.
 
     Subclasses set :attr:`ir` (``"ppl"`` or ``"schedule"``) and implement
-    the four protocol methods.  ``requires_tiling`` mirrors the legacy
-    tiling gate: the pipeline stage skips the transformation entirely when
+    the four protocol methods.  ``requires_tiling`` is the tiling gate:
+    the pipeline stage skips the transformation entirely when
     the configuration compiles the untiled baseline, which is what lets
     one pipeline serve baseline and optimised configurations alike.
     """
@@ -212,22 +216,17 @@ class Transformation:
 class PplTransformation(Transformation):
     """Base of transformations over the PPL expression IR.
 
-    The ported Section 4 transforms delegate :meth:`apply` to their proven
-    pass implementations (bit-identical results by construction); the
-    declarative half — :meth:`pattern` / :meth:`can_apply` — is what the
-    ordering search and :meth:`cost_delta` consult.
+    Subclasses implement :meth:`apply` (a pure ``Program -> Program``
+    rewrite); the declarative half — :meth:`pattern` / :meth:`can_apply` —
+    is what the ordering search and :meth:`cost_delta` consult.
     """
 
     ir = "ppl"
 
-    def legacy_pass(self, ctx: "PassContext"):
-        """The :class:`repro.transforms.base.Pass` this transformation wraps."""
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement legacy_pass or override apply"
-        )
-
-    def apply(self, program: "Program", ctx: "PassContext") -> "Program":
-        return self.legacy_pass(ctx).run(program)
+    @staticmethod
+    def with_body(program: "Program", body) -> "Program":
+        """``program`` itself when the body is unchanged, else a copy."""
+        return program if body is program.body else program.with_body(body)
 
     def cost_delta(self, program: "Program", ctx: "PassContext") -> CostDelta:
         sites = self.matches(program, ctx)
@@ -243,52 +242,45 @@ class PplTransformation(Transformation):
 class ScheduleTransformation(Transformation):
     """Base of transformations over the Schedule stage tree.
 
-    Wraps one :class:`repro.schedule.rewrite.Rewrite`: ``apply_schedule``
-    clones the schedule, applies the rewrite until it stops firing (capped
-    at ``max_rounds``), then asserts the preservation invariants with
-    :func:`repro.schedule.rewrite.verify_rewrite` — the framework's
+    A rule implements :meth:`fire`: mutate a (cloned) schedule in place and
+    return how many sites it rewrote.  :meth:`rewrite` runs the rule
+    through :func:`repro.schedule.rewrite.rewrite_schedule` — clone, fire
+    until a round fires nothing (capped at four rounds), then assert the
+    preservation invariants with
+    :func:`repro.schedule.rewrite.verify_rewrite`, the framework's
     post-apply invariant checker.  The original schedule is never mutated.
     """
 
     ir = "schedule"
-    max_rounds: int = 4
 
-    def rewrite_rule(self):
-        """The :class:`repro.schedule.rewrite.Rewrite` this wraps."""
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement rewrite_rule or apply_schedule"
-        )
+    def fire(self, schedule: "Schedule", model) -> int:
+        """Rewrite every site of ``schedule`` in place; returns the hit count."""
+        raise NotImplementedError(f"{type(self).__name__} must implement fire")
 
     def _model(self, ctx: "PassContext"):
         from repro.sim.model import PerformanceModel
 
         return ctx.model if ctx.model is not None else PerformanceModel()
 
+    def rewrite(self, schedule: "Schedule", ctx: "PassContext"):
+        """The :class:`~repro.schedule.rewrite.RewriteResult` of this rewrite."""
+        from repro.schedule.rewrite import rewrite_schedule
+
+        return rewrite_schedule(schedule, model=self._model(ctx), rewrites=[self])
+
+    def apply(self, schedule: "Schedule", ctx: "PassContext") -> "Schedule":
+        return self.rewrite(schedule, ctx).schedule
+
     def apply_schedule(
         self, schedule: "Schedule", ctx: "PassContext"
     ) -> Tuple["Schedule", Dict[str, object]]:
-        from repro.schedule.rewrite import clone_schedule, verify_rewrite
+        """The rewritten schedule plus the details the pipeline report records."""
+        result = self.rewrite(schedule, ctx)
+        return result.schedule, self.details(schedule, result, ctx)
 
-        model = self._model(ctx)
-        rule = self.rewrite_rule()
-        working = clone_schedule(schedule)
-        hits = 0
-        rounds = 0
-        for _ in range(self.max_rounds):
-            fired = rule.apply(working, model)
-            hits += fired
-            rounds += 1
-            if fired == 0:
-                break
-        verify_rewrite(schedule, working)
-        return working, {
-            "rewrite_hits": {rule.name: hits},
-            "rewrite_rounds": rounds,
-        }
-
-    def apply(self, schedule: "Schedule", ctx: "PassContext") -> "Schedule":
-        rewritten, _ = self.apply_schedule(schedule, ctx)
-        return rewritten
+    def details(self, schedule: "Schedule", result, ctx: "PassContext") -> Dict[str, object]:
+        """What the pipeline report records about one rewrite."""
+        return {"rewrite_hits": dict(result.hits), "rewrite_rounds": result.rounds}
 
     def cost_delta(self, schedule: "Schedule", ctx: "PassContext") -> CostDelta:
         from repro.analysis.area import estimate_area_of_schedule
@@ -297,7 +289,8 @@ class ScheduleTransformation(Transformation):
 
         model = self._model(ctx)
         sites = self.matches(schedule, ctx)
-        rewritten, details = self.apply_schedule(schedule, ctx)
+        result = self.rewrite(schedule, ctx)
+        rewritten = result.schedule
         before_cycles = node_cycles(schedule.root, schedule.board, model)
         after_cycles = node_cycles(rewritten.root, rewritten.board, model)
         traffic_before = schedule_traffic(schedule)
@@ -311,5 +304,5 @@ class ScheduleTransformation(Transformation):
                 (traffic_after.read_bytes + traffic_after.write_bytes)
                 - (traffic_before.read_bytes + traffic_before.write_bytes)
             ),
-            sites=len(sites) if sites else sum(details["rewrite_hits"].values()),
+            sites=len(sites) if sites else result.total_hits,
         )

@@ -1,7 +1,7 @@
 """Legal transformation orderings: enumeration, guided sampling, pipelines.
 
 A pipeline variant is just an *ordering* of framework transformations
-(:mod:`repro.rewrite.ppl`, :mod:`repro.rewrite.schedule`,
+(:mod:`repro.transforms`, :mod:`repro.schedule.rewrite`,
 :mod:`repro.rewrite.splitting`) around the fixed terminal passes
 (generate-hardware → build-schedule → estimate-area).  This module makes
 that space explicit and searchable:
@@ -24,15 +24,13 @@ farm lanes that never saw the registering process's registry.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.rewrite import ppl as ppl_t
-from repro.rewrite import schedule as sched_t
 from repro.rewrite.framework import Transformation, TransformationError
-from repro.rewrite.splitting import SplitStripMining
 
 __all__ = [
     "AUTO_PREFIX",
@@ -70,36 +68,62 @@ class Step:
     exclusive_schedule: bool = False
 
 
+def _lazy(module: str, name: str, **kwargs) -> Callable[[], Transformation]:
+    """A factory importing ``module.name`` when a pipeline is built.
+
+    The transformation modules import :mod:`repro.rewrite.framework`, so
+    importing them here, at module load, would be circular.
+    """
+
+    def factory() -> Transformation:
+        return getattr(importlib.import_module(module), name)(**kwargs)
+
+    return factory
+
+
+_PPL = "repro.transforms"
+_SCHEDULE = "repro.schedule.rewrite"
+
 STEPS: Dict[str, Step] = {
     step.token: step
     for step in [
-        Step("fusion", ppl_t.VerticalFusion, rank=0),
-        Step("strip-mine", ppl_t.StripMine, rank=1, required=True),
-        Step("tile-copies", ppl_t.TileCopies, rank=2, required=True),
-        Step("split-strip-mine", SplitStripMining, rank=3),
+        Step("fusion", _lazy(_PPL, "VerticalFusion"), rank=0),
+        Step("strip-mine", _lazy(_PPL, "StripMine"), rank=1, required=True),
+        Step("tile-copies", _lazy(_PPL, "TileCopies"), rank=2, required=True),
+        Step("split-strip-mine", _lazy("repro.rewrite.splitting", "SplitStripMining"), rank=3),
         # The cleanup/interchange phase: any relative order is legal (the
         # late-cleanup variant is exactly "cse after interchange").
-        Step("cse", ppl_t.LetCse, rank=4),
-        Step("code-motion", ppl_t.InvariantCodeMotion, rank=4),
-        Step("interchange", ppl_t.Interchange, rank=4),
-        Step("post-cse", ppl_t.LetCse, rank=4, after=("cse",)),
-        Step("post-code-motion", ppl_t.InvariantCodeMotion, rank=4, after=("code-motion",)),
+        Step("cse", _lazy(_PPL, "LetCse"), rank=4),
+        Step("code-motion", _lazy(_PPL, "InvariantCodeMotion"), rank=4),
+        Step("interchange", _lazy(_PPL, "Interchange"), rank=4),
+        Step("post-cse", _lazy(_PPL, "LetCse"), rank=4, after=("cse",)),
+        Step(
+            "post-code-motion",
+            _lazy(_PPL, "InvariantCodeMotion"),
+            rank=4,
+            after=("code-motion",),
+        ),
         # Schedule-level steps run between build-schedule and estimate-area.
-        Step("flatten-degenerate-groups", sched_t.FlattenDegenerateGroups, rank=10, schedule=True),
-        Step("coalesce-transfers", sched_t.CoalesceTransfers, rank=10, schedule=True),
-        Step("rebalance-stages", sched_t.RebalanceStages, rank=10, schedule=True),
+        Step(
+            "flatten-degenerate-groups",
+            _lazy(_SCHEDULE, "FlattenDegenerateGroups"),
+            rank=10,
+            schedule=True,
+        ),
+        Step("coalesce-transfers", _lazy(_SCHEDULE, "CoalesceTransfers"), rank=10, schedule=True),
+        Step("rebalance-stages", _lazy(_SCHEDULE, "RebalanceStages"), rank=10, schedule=True),
         # The composites already run all three rules to quiescence; mixing
         # them with the individual steps is redundant, so they are exclusive.
         Step(
             "rewrite-schedule",
-            sched_t.ScheduleRewrite,
+            _lazy(_SCHEDULE, "ScheduleRewrite"),
             rank=10,
             schedule=True,
             exclusive_schedule=True,
         ),
         Step(
             "rewrite-schedule-profiled",
-            lambda: sched_t.ScheduleRewrite(balance_factor="auto", cost_source="event"),
+            _lazy(_SCHEDULE, "ScheduleRewrite", balance_factor="auto", cost_source="event"),
             rank=10,
             schedule=True,
             exclusive_schedule=True,

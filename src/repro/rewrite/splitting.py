@@ -18,9 +18,9 @@ interpreter agrees bit-for-bit on every benchmark the split fires on.
 
 Implemented directly on the framework — pattern (an inner tile pattern),
 legality (statically divisible tile, a fold's combine present where the
-rules need one), site-level apply reusing the proven
-:class:`~repro.transforms.strip_mining.StripMiningPass` machinery with
-explicit per-axis plans.  There is no legacy pass to delegate to.
+rules need one), site-level apply reusing
+:meth:`~repro.transforms.strip_mining.StripMine.strip_pattern` with
+explicit per-axis plans.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import List, Optional, Tuple
 from repro.ppl.ir import BinOp, Const, FlatMap, Map, MultiFold, Node, Pattern
 from repro.ppl.program import Program
 from repro.ppl.traversal import rebuild
-from repro.rewrite.framework import CostDelta, Match, PplTransformation, ShapePattern, ir_size
-from repro.transforms.strip_mining import StripMiningPass, _AxisPlan
+from repro.rewrite.framework import Match, PplTransformation, ShapePattern
+from repro.transforms.strip_mining import AxisPlan, StripMine
 
 __all__ = ["SplitStripMining", "DEFAULT_SPLIT_FACTOR"]
 
@@ -74,8 +74,8 @@ class SplitStripMining(PplTransformation):
             description="inner tile pattern, not yet split",
         )
 
-    def _plans(self, node: Pattern) -> Optional[List[_AxisPlan]]:
-        plans: List[_AxisPlan] = []
+    def _plans(self, node: Pattern) -> Optional[List[AxisPlan]]:
+        plans: List[AxisPlan] = []
         any_split = False
         for extent in node.domain.dims:
             tile = _clamped_tile(extent)
@@ -86,7 +86,7 @@ class SplitStripMining(PplTransformation):
                     any_split = True
                 else:
                     sub = None
-            plans.append(_AxisPlan(extent, sub))
+            plans.append(AxisPlan(extent, sub))
         return plans if any_split else None
 
     def can_apply(self, program, match: Match, ctx) -> bool:
@@ -104,7 +104,7 @@ class SplitStripMining(PplTransformation):
     def apply_at(self, program, match: Match, ctx) -> Node:
         node: Pattern = match.node
         plans = match.payload.get("plans") or self._plans(node)
-        replacement = StripMiningPass(ctx.config)._strip_pattern(node, plans)
+        replacement = StripMine().strip_pattern(node, plans, ctx.config)
         # Tag the new two-level nest so it never re-matches: the outer
         # keeps the original tile metadata (it *is* still the tile loop),
         # the fresh sub-tile pattern is marked as the split level.
@@ -122,7 +122,7 @@ class SplitStripMining(PplTransformation):
     def _fresh_inner(replacement: Pattern) -> Optional[Pattern]:
         """The sub-tile pattern a Table 1 rule just constructed.
 
-        Per-rule placement (see ``StripMiningPass``): Map and FlatMap put
+        Per-rule placement (see ``StripMine``): Map and FlatMap put
         the inner pattern directly in the function body; MultiFold binds it
         as the ``tile`` Let value of the outer value function.
         """
@@ -175,18 +175,7 @@ class SplitStripMining(PplTransformation):
 
         body = go(program.body)
         self.last_applied = applied
-        if body is program.body:
-            return program
-        return program.with_body(body)
-
-    def cost_delta(self, program: Program, ctx) -> CostDelta:
-        sites = self.matches(program, ctx)
-        if not sites:
-            return CostDelta(ir_nodes=0, sites=0)
-        after = self.apply(program, ctx)
-        return CostDelta(
-            ir_nodes=ir_size(after.body) - ir_size(program.body), sites=len(sites)
-        )
+        return self.with_body(program, body)
 
     def config_key(self, ctx) -> Tuple:
         from repro.dse.cache import config_signature

@@ -20,11 +20,13 @@ graph:
   stalls and DRAM-channel contention;
 * :mod:`repro.schedule.compare` — analytical-vs-event discrepancy reports
   used to calibrate the analytical model's knobs;
-* :mod:`repro.schedule.rewrite` — the schedule-level rewriter (transfer
-  coalescing, stage rebalancing, degenerate-group flattening) with a
-  legality checker proving the memory inventory, module set and DRAM
-  traffic are preserved; run as the ``rewrite-schedule`` pipeline stage of
-  the ``rewrite`` pipeline variant.
+* :mod:`repro.schedule.rewrite` — the schedule-level rewrite rules
+  (:class:`CoalesceTransfers`, :class:`RebalanceStages`,
+  :class:`FlattenDegenerateGroups`) and their composite
+  :class:`ScheduleRewrite`, framework transformations with a legality
+  checker proving the memory inventory, module set and DRAM traffic are
+  preserved; the composite runs as the ``rewrite-schedule`` pipeline stage
+  of the ``rewrite`` pipeline variant.
 
 Every downstream consumer — the simulator backends, the area model, the
 traffic inventory and the MaxJ code generator — reads the same Schedule
@@ -63,12 +65,11 @@ from repro.schedule.calibrate import (
 )
 from repro.schedule.rewrite import (
     BALANCE_FACTOR_CANDIDATES,
-    DegenerateGroupFlattening,
-    Rewrite,
+    CoalesceTransfers,
+    FlattenDegenerateGroups,
+    RebalanceStages,
     RewriteResult,
-    ScheduleRewriter,
-    StageRebalancing,
-    TransferCoalescing,
+    ScheduleRewrite,
     rewrite_schedule,
     tune_balance_factor,
     verify_rewrite,
@@ -80,26 +81,25 @@ __all__ = [
     "CALIBRATED_KNOBS",
     "CYCLE_MODELS",
     "CalibrationResult",
+    "CoalesceTransfers",
     "ComputeNode",
     "CycleDiscrepancy",
     "DEFAULT_TOLERANCE",
-    "DegenerateGroupFlattening",
     "EventScheduleBackend",
+    "FlattenDegenerateGroups",
     "discrepancy_table",
     "MemoryNode",
     "MetapipelineSchedule",
     "ParallelSchedule",
-    "Rewrite",
+    "RebalanceStages",
     "RewriteResult",
     "Schedule",
     "ScheduleNode",
-    "ScheduleRewriter",
+    "ScheduleRewrite",
     "SequentialSchedule",
     "StageGroup",
     "StageProfile",
-    "StageRebalancing",
     "StreamNode",
-    "TransferCoalescing",
     "TransferNode",
     "UNCALIBRATED_TOLERANCE",
     "build_schedule",

@@ -1,17 +1,20 @@
 """Schedule-level rewriting: optimise the metapipeline schedule before timing.
 
 The Schedule IR makes the metapipeline an explicit artifact; this module
-makes it an *optimisable* one.  A :class:`ScheduleRewriter` clones a
-schedule and applies a sequence of :class:`Rewrite` rules to the stage
-tree — the hardware inventory is never touched, only *when* things run:
+makes it an *optimisable* one.  :func:`rewrite_schedule` clones a
+schedule and applies a sequence of rules — framework
+:class:`~repro.rewrite.framework.ScheduleTransformation` objects, each
+owning its pattern and its in-place ``fire`` — to the stage tree until a
+round fires nothing.  The hardware inventory is never touched, only *when*
+things run:
 
-* :class:`TransferCoalescing` — adjacent same-direction transfers inside a
+* :class:`CoalesceTransfers` — adjacent same-direction transfers inside a
   sequential or metapipeline group merge into one larger-burst transfer
   (total bytes preserved).  Every transfer pays one DRAM round-trip
   latency per invocation, so ``k`` adjacent tile loads cost ``k`` latencies
   where one coalesced load costs one; on the shared channel of the event
   model that latency is occupancy every other transfer waits behind.
-* :class:`StageRebalancing` — metapipeline stages are split and merged so
+* :class:`RebalanceStages` — metapipeline stages are split and merged so
   per-stage cycle estimates sit within a balance factor of the slowest
   stage.  A bottleneck stage that is itself a sequential group is split
   into separate overlapped stages; adjacent under-full stages merge into
@@ -26,7 +29,7 @@ tree — the hardware inventory is never touched, only *when* things run:
   durations rather than their idealised ones.  :func:`tune_balance_factor`
   picks the factor per schedule by scoring rewritten candidates with the
   event backend (``balance_factor="auto"`` in :func:`rewrite_schedule`).
-* :class:`DegenerateGroupFlattening` — a stage group with one stage and one
+* :class:`FlattenDegenerateGroups` — a stage group with one stage and one
   iteration is pure nesting overhead (the generator emits them around
   single-pattern bodies); the child takes its place.
 
@@ -41,11 +44,15 @@ Every rewrite preserves three invariants, asserted after rewriting by
 3. the **total DRAM traffic** is identical, per direction and per source
    array (:func:`repro.analysis.traffic.schedule_traffic` totals).
 
+:class:`ScheduleRewrite` is the composite of all three (flatten →
+coalesce → rebalance), the ``rewrite-schedule`` stage of the ``rewrite``
+and ``rewrite-profiled`` pipeline variants.  A single rule and the
+composite run through the same rounds loop.
+
 The rewriter never mutates its input: the design's cached schedule stays
 bit-identical (the golden Figure 7 numbers are computed from it), and the
-rewritten copy becomes the compilation's schedule only when the
-``rewrite-schedule`` pipeline stage ran (the ``rewrite`` pipeline
-variant), from where the cycle backends time it and the MaxJ emitter
+rewritten copy becomes the compilation's schedule only when a schedule
+stage ran, from where the cycle backends time it and the MaxJ emitter
 renders it.
 """
 
@@ -56,6 +63,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import ScheduleRewriteError
+from repro.rewrite.framework import ScheduleTransformation, ShapePattern
 from repro.schedule.costs import pipeline_cycles, stream_cycles, transfer_cycles
 from repro.schedule.event import EventScheduleBackend, StageProfile
 from repro.schedule.ir import (
@@ -74,13 +82,12 @@ from repro.sim.model import PerformanceModel
 __all__ = [
     "BALANCE_FACTOR_CANDIDATES",
     "COST_SOURCES",
+    "CoalesceTransfers",
     "DEFAULT_BALANCE_FACTOR",
-    "DegenerateGroupFlattening",
-    "Rewrite",
+    "FlattenDegenerateGroups",
+    "RebalanceStages",
     "RewriteResult",
-    "ScheduleRewriter",
-    "StageRebalancing",
-    "TransferCoalescing",
+    "ScheduleRewrite",
     "clone_schedule",
     "node_cycles",
     "rewrite_schedule",
@@ -97,8 +104,11 @@ DEFAULT_BALANCE_FACTOR = 2.0
 #: per schedule (``balance_factor="auto"``).
 BALANCE_FACTOR_CANDIDATES = (1.25, 1.5, 2.0, 3.0, 4.0)
 
-#: Legal stage-cost oracles for :class:`StageRebalancing`.
+#: Legal stage-cost oracles for :class:`RebalanceStages`.
 COST_SOURCES = ("analytical", "event")
+
+#: Rewrite rounds before :func:`rewrite_schedule` stops even if rules fire.
+MAX_ROUNDS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -180,29 +190,20 @@ def _absorbed_modules(node: ScheduleNode) -> List:
 
 
 # ---------------------------------------------------------------------------
-# The Rewrite protocol and the built-in rewrites
+# The rules
 # ---------------------------------------------------------------------------
 
 
-class Rewrite:
-    """One named schedule rewrite: mutate the tree, count what fired.
-
-    Subclasses implement :meth:`apply`, returning the number of hits (each
-    merged pair, split stage or flattened group is one hit).  Rewrites
-    mutate the (cloned) schedule in place and must uphold the preservation
-    invariants :func:`verify_rewrite` asserts.
-    """
-
-    name: str = "rewrite"
-
-    def apply(self, schedule: Schedule, model: PerformanceModel) -> int:
-        raise NotImplementedError(f"{type(self).__name__} must implement apply")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} {self.name!r}>"
+def _coalesceable(previous: Optional[ScheduleNode], stage: ScheduleNode) -> bool:
+    return (
+        isinstance(stage, TransferNode)
+        and isinstance(previous, TransferNode)
+        and previous.direction == stage.direction
+        and previous.burst_bytes == stage.burst_bytes
+    )
 
 
-class TransferCoalescing(Rewrite):
+class CoalesceTransfers(ScheduleTransformation):
     """Merge adjacent same-direction transfers into one larger burst.
 
     Two tile loads issued back to back inside a sequential or metapipeline
@@ -217,7 +218,15 @@ class TransferCoalescing(Rewrite):
 
     name = "coalesce-transfers"
 
-    def apply(self, schedule: Schedule, model: PerformanceModel) -> int:
+    def pattern(self) -> ShapePattern:
+        return ShapePattern(
+            kinds=(SequentialSchedule, MetapipelineSchedule),
+            where=lambda group: not isinstance(group, ParallelSchedule)
+            and any(_coalesceable(a, b) for a, b in zip(group.stages, group.stages[1:])),
+            description="sequential group with adjacent same-direction transfers",
+        )
+
+    def fire(self, schedule: Schedule, model: PerformanceModel) -> int:
         hits = 0
         for group in _groups(schedule):
             if isinstance(group, ParallelSchedule) or len(group.stages) < 2:
@@ -225,12 +234,7 @@ class TransferCoalescing(Rewrite):
             merged: List[ScheduleNode] = []
             for stage in group.stages:
                 previous = merged[-1] if merged else None
-                if (
-                    isinstance(stage, TransferNode)
-                    and isinstance(previous, TransferNode)
-                    and previous.direction == stage.direction
-                    and previous.burst_bytes == stage.burst_bytes
-                ):
+                if _coalesceable(previous, stage):
                     merged[-1] = self._merge(previous, stage)
                     hits += 1
                 else:
@@ -259,7 +263,7 @@ class TransferCoalescing(Rewrite):
         )
 
 
-class StageRebalancing(Rewrite):
+class RebalanceStages(ScheduleTransformation):
     """Split bottleneck group stages and merge under-full neighbours.
 
     Guided by per-stage cycle costs from the selected oracle
@@ -296,6 +300,16 @@ class StageRebalancing(Rewrite):
         self.balance_factor = balance_factor
         self.cost_source = cost_source
 
+    def pattern(self) -> ShapePattern:
+        return ShapePattern(
+            kinds=(MetapipelineSchedule,),
+            where=lambda group: group.iterations > 1 and len(group.stages) >= 2,
+            description="iterated metapipeline with >= 2 stages",
+        )
+
+    def signature(self) -> str:
+        return f"{type(self).__name__}[bf={self.balance_factor},cs={self.cost_source}]"
+
     def _profiles(
         self, schedule: Schedule, model: PerformanceModel
     ) -> Optional[Dict[int, StageProfile]]:
@@ -322,7 +336,7 @@ class StageRebalancing(Rewrite):
                 return list(profile.durations)
         return [node_cycles(stage, board, model) for stage in group.stages]
 
-    def apply(self, schedule: Schedule, model: PerformanceModel) -> int:
+    def fire(self, schedule: Schedule, model: PerformanceModel) -> int:
         board = schedule.board
         hits = 0
         profiles = self._profiles(schedule, model)
@@ -392,7 +406,7 @@ class StageRebalancing(Rewrite):
         return hits
 
 
-class DegenerateGroupFlattening(Rewrite):
+class FlattenDegenerateGroups(ScheduleTransformation):
     """Collapse one-stage, one-iteration groups onto their only child.
 
     The hardware generator wraps single-pattern bodies in their own
@@ -404,7 +418,14 @@ class DegenerateGroupFlattening(Rewrite):
 
     name = "flatten-degenerate-groups"
 
-    def apply(self, schedule: Schedule, model: PerformanceModel) -> int:
+    def pattern(self) -> ShapePattern:
+        return ShapePattern(
+            kinds=(StageGroup,),
+            where=lambda group: len(group.stages) == 1 and group.iterations == 1,
+            description="single-stage single-iteration group",
+        )
+
+    def fire(self, schedule: Schedule, model: PerformanceModel) -> int:
         hits = 0
 
         def flatten(node: ScheduleNode) -> ScheduleNode:
@@ -490,7 +511,7 @@ def verify_rewrite(original: Schedule, rewritten: Schedule) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The rewriter
+# The rounds loop and the composite
 # ---------------------------------------------------------------------------
 
 
@@ -522,67 +543,6 @@ class RewriteResult:
         )
 
 
-class ScheduleRewriter:
-    """Apply a rewrite sequence to a schedule until it stops firing.
-
-    The input schedule is cloned first — the design's cached schedule (and
-    everything keyed on it, including the golden analytical numbers) is
-    never mutated.  Rewrites run in order, the whole sequence repeating up
-    to ``max_rounds`` times or until a round fires nothing (flattening can
-    expose coalescing opportunities, coalescing feeds rebalancing).  The
-    preservation invariants are asserted once, on the final schedule.
-    """
-
-    def __init__(
-        self,
-        rewrites: Optional[Sequence[Rewrite]] = None,
-        balance_factor: float = DEFAULT_BALANCE_FACTOR,
-        max_rounds: int = 4,
-        cost_source: str = "analytical",
-    ) -> None:
-        self.balance_factor = balance_factor
-        self.rewrites: List[Rewrite] = (
-            list(rewrites)
-            if rewrites is not None
-            else [
-                DegenerateGroupFlattening(),
-                TransferCoalescing(),
-                StageRebalancing(
-                    balance_factor=balance_factor, cost_source=cost_source
-                ),
-            ]
-        )
-        self.max_rounds = max(1, max_rounds)
-
-    def rewrite(
-        self, schedule: Schedule, model: Optional[PerformanceModel] = None
-    ) -> RewriteResult:
-        model = model or PerformanceModel()
-        working = clone_schedule(schedule)
-        hits: Dict[str, int] = {rewrite.name: 0 for rewrite in self.rewrites}
-        rounds = 0
-        for _ in range(self.max_rounds):
-            fired = 0
-            for rewrite in self.rewrites:
-                count = rewrite.apply(working, model)
-                hits[rewrite.name] += count
-                fired += count
-            rounds += 1
-            if fired == 0:
-                break
-        verify_rewrite(schedule, working)
-        result = RewriteResult(
-            original=schedule,
-            schedule=working,
-            hits=hits,
-            rounds=rounds,
-            balance_factor=self.balance_factor,
-        )
-        if result.changed:
-            working.notes.append(result.summary())
-        return result
-
-
 def tune_balance_factor(
     schedule: Schedule,
     model: Optional[PerformanceModel] = None,
@@ -603,9 +563,9 @@ def tune_balance_factor(
     best_factor = None
     best_cycles = float("inf")
     for factor in candidates:
-        result = ScheduleRewriter(
-            balance_factor=factor, cost_source=cost_source
-        ).rewrite(schedule, model)
+        result = rewrite_schedule(
+            schedule, model, balance_factor=factor, cost_source=cost_source
+        )
         cycles = backend.run(result.schedule).cycles
         if cycles < best_cycles:
             best_cycles = cycles
@@ -616,21 +576,116 @@ def tune_balance_factor(
 def rewrite_schedule(
     schedule: Schedule,
     model: Optional[PerformanceModel] = None,
-    rewrites: Optional[Sequence[Rewrite]] = None,
+    rewrites: Optional[Sequence[ScheduleTransformation]] = None,
     balance_factor: Union[float, str] = DEFAULT_BALANCE_FACTOR,
     cost_source: str = "analytical",
 ) -> RewriteResult:
-    """Rewrite one schedule with the default (or a custom) rewrite sequence.
+    """Rewrite one schedule with the default (or a custom) rule sequence.
+
+    The input schedule is cloned first — the design's cached schedule (and
+    everything keyed on it, including the golden analytical numbers) is
+    never mutated.  The rules run in order, the whole sequence repeating
+    up to ``MAX_ROUNDS`` times or until a round fires nothing.  The
+    preservation invariants are asserted once, on the final schedule.
 
     ``balance_factor="auto"`` tunes the factor per schedule first
     (:func:`tune_balance_factor`); ``cost_source`` selects the
     rebalancer's stage-cost oracle (``"analytical"`` closed forms or
-    measured ``"event"`` profiles).  Both only shape the default rewrite
+    measured ``"event"`` profiles).  Both only shape the default rule
     sequence — an explicit ``rewrites`` list is used as given.
     """
+    model = model or PerformanceModel()
     factor = balance_factor
     if factor == "auto":
         factor = tune_balance_factor(schedule, model, cost_source=cost_source)
-    return ScheduleRewriter(
-        rewrites=rewrites, balance_factor=factor, cost_source=cost_source
-    ).rewrite(schedule, model)
+    if rewrites is None:
+        # Flattening can expose coalescing opportunities and coalescing
+        # feeds rebalancing, so one round runs them in that order.
+        rewrites = [
+            FlattenDegenerateGroups(),
+            CoalesceTransfers(),
+            RebalanceStages(balance_factor=factor, cost_source=cost_source),
+        ]
+    working = clone_schedule(schedule)
+    hits: Dict[str, int] = {rule.name: 0 for rule in rewrites}
+    rounds = 0
+    for _ in range(MAX_ROUNDS):
+        fired = 0
+        for rule in rewrites:
+            count = rule.fire(working, model)
+            hits[rule.name] += count
+            fired += count
+        rounds += 1
+        if fired == 0:
+            break
+    verify_rewrite(schedule, working)
+    result = RewriteResult(
+        original=schedule,
+        schedule=working,
+        hits=hits,
+        rounds=rounds,
+        balance_factor=factor,
+    )
+    if result.changed:
+        working.notes.append(result.summary())
+    return result
+
+
+class ScheduleRewrite(ScheduleTransformation):
+    """The composite schedule rewriter: flatten, coalesce, rebalance to quiescence.
+
+    Runs as the ``rewrite-schedule`` stage of the ``rewrite`` and
+    ``rewrite-profiled`` pipeline variants.  Besides per-rule hit counts,
+    rounds, the resolved balance factor and the cost source, its pipeline
+    report records the event-backend cycles before and after the rewrite
+    (``event_cycles_before`` / ``event_cycles_after``).  That measurement
+    only feeds the report: :meth:`apply` skips it, which is what batched
+    evaluation calls.
+
+    ``balance_factor`` may be a number or ``"auto"`` (tune per schedule by
+    scoring rewritten candidates with the event backend); ``cost_source``
+    picks the rebalancer's stage-cost oracle.
+    """
+
+    name = "rewrite-schedule"
+
+    def __init__(
+        self,
+        balance_factor: Union[float, str] = DEFAULT_BALANCE_FACTOR,
+        cost_source: str = "analytical",
+    ) -> None:
+        self.balance_factor = balance_factor
+        self.cost_source = cost_source
+
+    def pattern(self) -> ShapePattern:
+        # The composite fires anywhere its constituents would; matching a
+        # group is enough for the ordering search to consider it.
+        return ShapePattern(kinds=(StageGroup,), description="any stage group (composite)")
+
+    def rewrite(self, schedule: Schedule, ctx) -> RewriteResult:
+        return rewrite_schedule(
+            schedule,
+            model=self._model(ctx),
+            balance_factor=self.balance_factor,
+            cost_source=self.cost_source,
+        )
+
+    def details(self, schedule: Schedule, result: RewriteResult, ctx) -> Dict[str, object]:
+        before = EventScheduleBackend(ctx.model).run(schedule).cycles
+        # No rewrite fired: the schedules are structurally identical, so
+        # one event run prices both.
+        after = (
+            EventScheduleBackend(ctx.model).run(result.schedule).cycles
+            if result.changed
+            else before
+        )
+        return {
+            **super().details(schedule, result, ctx),
+            "balance_factor": result.balance_factor,
+            "cost_source": self.cost_source,
+            "event_cycles_before": before,
+            "event_cycles_after": after,
+        }
+
+    def signature(self) -> str:
+        return f"{type(self).__name__}[bf={self.balance_factor},cs={self.cost_source}]"

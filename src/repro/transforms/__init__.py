@@ -1,41 +1,45 @@
 """Parallel pattern transformations (Section 4 of the paper).
 
-* :mod:`repro.transforms.fusion` — vertical fusion of producer/consumer
-  patterns (assumed to have already run before tiling in the paper).
-* :mod:`repro.transforms.cse` — common subexpression elimination over Lets.
-* :mod:`repro.transforms.code_motion` — loop-invariant code motion of Lets
-  out of patterns.
-* :mod:`repro.transforms.strip_mining` — the Table 1 strip-mining rules plus
-  the second pass that converts predictable accesses into explicit tile
-  copies (Table 2).
-* :mod:`repro.transforms.interchange` — the two pattern-interchange rules and
-  the split heuristic (Table 3, Figure 5).
-* :mod:`repro.transforms.tiling` — the driver combining all of the above into
-  the paper's automatic tiling flow.
+Each module defines its transformation once, as a framework
+:class:`~repro.rewrite.framework.PplTransformation` that owns its pattern,
+legality check and rewrite, next to the helpers it uses:
+
+* :mod:`repro.transforms.fusion` — :class:`VerticalFusion` of
+  producer/consumer patterns (assumed to have already run before tiling in
+  the paper).
+* :mod:`repro.transforms.cse` — :class:`LetCse`, common subexpression
+  elimination over Lets.
+* :mod:`repro.transforms.code_motion` — :class:`InvariantCodeMotion`,
+  loop-invariant code motion of Lets out of patterns.
+* :mod:`repro.transforms.strip_mining` — :class:`StripMine`, the Table 1
+  strip-mining rules, and :class:`TileCopies`, which converts predictable
+  accesses into explicit tile copies (Table 2).
+* :mod:`repro.transforms.interchange` — :class:`Interchange`, the two
+  pattern-interchange rules and the split heuristic (Table 3, Figure 5).
+* :mod:`repro.transforms.tiling` — :class:`TilingDriver`, the paper's
+  automatic tiling flow written out by hand over the classes above.
 """
 
-from repro.transforms.base import Pass, PassPipeline
-from repro.transforms.cse import CommonSubexpressionElimination, eliminate_common_subexpressions
-from repro.transforms.code_motion import CodeMotion, hoist_invariant_lets
-from repro.transforms.fusion import FusionPass, fuse
-from repro.transforms.strip_mining import StripMiningPass, TileCopyInsertionPass, strip_mine
-from repro.transforms.interchange import InterchangePass, interchange
+from repro.transforms.cse import LetCse, eliminate_common_subexpressions
+from repro.transforms.code_motion import InvariantCodeMotion, hoist_invariant_lets
+from repro.transforms.fusion import VerticalFusion, fuse
+from repro.transforms.strip_mining import AxisPlan, StripMine, TileCopies, strip_mine
+from repro.transforms.interchange import Interchange, interchange
 from repro.transforms.tiling import TilingDriver, tile_program
 
 __all__ = [
-    "Pass",
-    "PassPipeline",
-    "CommonSubexpressionElimination",
-    "eliminate_common_subexpressions",
-    "CodeMotion",
-    "hoist_invariant_lets",
-    "FusionPass",
-    "fuse",
-    "StripMiningPass",
-    "TileCopyInsertionPass",
-    "strip_mine",
-    "InterchangePass",
-    "interchange",
+    "AxisPlan",
+    "Interchange",
+    "InvariantCodeMotion",
+    "LetCse",
+    "StripMine",
+    "TileCopies",
     "TilingDriver",
+    "VerticalFusion",
+    "eliminate_common_subexpressions",
+    "fuse",
+    "hoist_invariant_lets",
+    "interchange",
+    "strip_mine",
     "tile_program",
 ]

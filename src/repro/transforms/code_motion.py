@@ -14,14 +14,14 @@ bound between the function entry and the binding itself.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.ppl.ir import Expr, FlatMap, GroupByFold, Lambda, Let, Map, MultiFold, Node, Pattern, Sym
+from repro.ppl.ir import Expr, FlatMap, GroupByFold, Lambda, Let, Map, MultiFold, Pattern
 from repro.ppl.program import Program
 from repro.ppl.traversal import Transformer, free_syms, rebuild
-from repro.transforms.base import Pass
+from repro.rewrite.framework import Match, PplTransformation, ShapePattern
 
-__all__ = ["CodeMotion", "hoist_invariant_lets"]
+__all__ = ["InvariantCodeMotion", "hoist_invariant_lets"]
 
 
 def _split_invariant_lets(body: Expr, bound_syms: set) -> tuple[List[Let], Expr]:
@@ -93,23 +93,43 @@ class _PatternLICM(Transformer):
         return self._hoist_from_pattern(node)
 
 
-class CodeMotion(Pass):
-    """Hoist pattern-invariant Let bindings out of pattern functions."""
+class InvariantCodeMotion(PplTransformation):
+    """Hoist pattern-invariant Lets (array tiles) out of pattern functions."""
 
     name = "code-motion"
+    requires_tiling = True
 
-    def run_on_body(self, program: Program) -> Expr:
+    def pattern(self) -> ShapePattern:
+        return ShapePattern(
+            kinds=(Map, MultiFold, FlatMap, GroupByFold),
+            description="pattern with Lambda functions",
+        )
+
+    def can_apply(self, program, match: Match, ctx) -> bool:
+        pattern: Pattern = match.node
+        for value in pattern.field_values().values():
+            if not isinstance(value, Lambda):
+                continue
+            hoisted, _ = _split_invariant_lets(value.body, set(value.params))
+            if hoisted:
+                return True
+        return False
+
+    def apply(self, program: Program, ctx=None) -> Program:
+        """Hoist to a fixed point (capped at ten sweeps); reads no context.
+
+        Hoisting out of an inner pattern can expose a hoist out of the
+        enclosing pattern, hence the iteration.
+        """
         body = program.body
-        # Iterate to a fixed point: hoisting out of an inner pattern can expose
-        # a hoist out of the enclosing pattern.
         for _ in range(10):
             new_body = _PatternLICM().transform(body)
             if new_body is body:
                 break
             body = new_body
-        return body
+        return self.with_body(program, body)
 
 
 def hoist_invariant_lets(program: Program) -> Program:
-    """Convenience function form of :class:`CodeMotion`."""
-    return CodeMotion().run(program)
+    """Convenience function form of :class:`InvariantCodeMotion`."""
+    return InvariantCodeMotion().apply(program)

@@ -15,14 +15,14 @@ elimination).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
-from repro.ppl.ir import Expr, Lambda, Let, Node, Sym
+from repro.ppl.ir import Expr, Let, Node, Sym
 from repro.ppl.program import Program
-from repro.ppl.traversal import Transformer, free_syms, structurally_equal, substitute, walk
-from repro.transforms.base import Pass
+from repro.ppl.traversal import Transformer, free_syms, structurally_equal, substitute
+from repro.rewrite.framework import Match, PplTransformation, ShapePattern
 
-__all__ = ["CommonSubexpressionElimination", "eliminate_common_subexpressions"]
+__all__ = ["LetCse", "eliminate_common_subexpressions"]
 
 
 class _LetCSE(Transformer):
@@ -52,15 +52,25 @@ class _LetCSE(Transformer):
         return super().transform(body)
 
 
-class CommonSubexpressionElimination(Pass):
-    """Eliminate duplicate and dead Let bindings."""
+class LetCse(PplTransformation):
+    """Drop duplicate and dead Let bindings (duplicate tile copies)."""
 
     name = "cse"
+    requires_tiling = True
 
-    def run_on_body(self, program: Program) -> Expr:
-        return _LetCSE().transform(program.body)
+    def pattern(self) -> ShapePattern:
+        return ShapePattern(kinds=(Let,), description="Let chain head")
+
+    def can_apply(self, program, match: Match, ctx) -> bool:
+        # The chain rewriter is its own cheapest oracle: a site is legal
+        # exactly when rewriting its chain changes something.
+        return _LetCSE().transform(match.node) is not match.node
+
+    def apply(self, program: Program, ctx=None) -> Program:
+        """Rewrite every Let chain of the program; reads no context."""
+        return self.with_body(program, _LetCSE().transform(program.body))
 
 
 def eliminate_common_subexpressions(program: Program) -> Program:
-    """Convenience function form of :class:`CommonSubexpressionElimination`."""
-    return CommonSubexpressionElimination().run(program)
+    """Convenience function form of :class:`LetCse`."""
+    return LetCse().apply(program)

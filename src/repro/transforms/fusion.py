@@ -20,31 +20,18 @@ not needed as a precondition of tiling; the applications in
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.ppl.ir import (
-    ArrayApply,
-    Expr,
-    Lambda,
-    Let,
-    Map,
-    MultiFold,
-    Node,
-    Pattern,
-    Sym,
-)
+from repro.ppl.ir import ArrayApply, Expr, Let, Map, Node, Sym
 from repro.ppl.program import Program
 from repro.ppl.traversal import (
     Transformer,
-    collect,
     free_syms,
     structurally_equal,
     substitute,
     walk,
 )
-from repro.transforms.base import Pass
+from repro.rewrite.framework import Match, PplTransformation, ShapePattern
 
-__all__ = ["FusionPass", "fuse"]
+__all__ = ["VerticalFusion", "fuse"]
 
 
 def _sym_only_under_applies(body: Expr, array_sym: Sym) -> bool:
@@ -79,51 +66,72 @@ def _inline_producer(body: Expr, array_sym: Sym, producer: Map) -> Expr:
     return _Inline().transform(body)
 
 
+def _fusable(node: Let) -> bool:
+    """Whether the Let-bound Map producer of ``node`` may be inlined.
+
+    Every use must be an element read, and all reads must be at the same
+    index positions: inlining a producer read at several distinct
+    positions would duplicate its work (e.g. the centered-point vector of
+    gda is read as ``sub(r)`` and ``sub(s)``).
+    """
+    if not _sym_only_under_applies(node.body, node.sym):
+        return False
+    reads = [
+        n for n in walk(node.body) if isinstance(n, ArrayApply) and n.array is node.sym
+    ]
+    if len(reads) > 1:
+        first = reads[0].indices
+        for other in reads[1:]:
+            if len(other.indices) != len(first) or not all(
+                structurally_equal(a, b) for a, b in zip(first, other.indices)
+            ):
+                return False
+    return True
+
+
 class _VerticalFusion(Transformer):
     """Fuses Let-bound Map producers into their sole consumers."""
 
     def rewrite_Let(self, node: Let):
-        if not isinstance(node.value, Map):
+        if not isinstance(node.value, Map) or not _fusable(node):
             return node
-        producer = node.value
-        if not _sym_only_under_applies(node.body, node.sym):
-            return node
-        reads = [
-            n
-            for n in walk(node.body)
-            if isinstance(n, ArrayApply) and n.array is node.sym
-        ]
-        # Do not fuse when the producer is read at several distinct index
-        # positions — inlining would duplicate the producer's work (e.g. the
-        # centered-point vector of gda is read as sub(r) and sub(s)).
-        if len(reads) > 1:
-            first = reads[0].indices
-            for other in reads[1:]:
-                if len(other.indices) != len(first) or not all(
-                    structurally_equal(a, b) for a, b in zip(first, other.indices)
-                ):
-                    return node
-        fused_body = _inline_producer(node.body, node.sym, producer)
+        fused_body = _inline_producer(node.body, node.sym, node.value)
         if node.sym in free_syms(fused_body):  # pragma: no cover - defensive
             return node
         return fused_body
 
 
-class FusionPass(Pass):
-    """Vertical (producer → consumer) pattern fusion."""
+class VerticalFusion(PplTransformation):
+    """Fuse a Let-bound Map producer into its sole element-wise consumer.
+
+    Runs unconditionally (no tiling gate): the paper assumes fusion
+    before tiling, and it preserves semantics on the untiled baseline.
+    """
 
     name = "fusion"
+    requires_tiling = False
 
-    def run_on_body(self, program: Program) -> Expr:
+    def pattern(self) -> ShapePattern:
+        return ShapePattern(
+            kinds=(Let,),
+            where=lambda node: isinstance(node.value, Map),
+            description="Let binding a Map producer",
+        )
+
+    def can_apply(self, program, match: Match, ctx) -> bool:
+        return _fusable(match.node)
+
+    def apply(self, program: Program, ctx=None) -> Program:
+        """Fuse to a fixed point (capped at ten sweeps); reads no context."""
         body = program.body
         for _ in range(10):
             new_body = _VerticalFusion().transform(body)
             if new_body is body:
                 break
             body = new_body
-        return body
+        return self.with_body(program, body)
 
 
 def fuse(program: Program) -> Program:
-    """Convenience function form of :class:`FusionPass`."""
-    return FusionPass().run(program)
+    """Convenience function form of :class:`VerticalFusion`."""
+    return VerticalFusion().apply(program)

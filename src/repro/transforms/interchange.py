@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import CompileConfig
-from repro.errors import TilingError
+from repro.dse.cache import config_signature
 from repro.ppl import builder as bld
 from repro.ppl.ir import (
     ArrayApply,
@@ -49,11 +49,11 @@ from repro.ppl.ir import (
     Sym,
 )
 from repro.ppl.program import Program
-from repro.ppl.traversal import Transformer, free_syms, rebuild, substitute, walk
-from repro.ppl.types import INDEX, TensorType, TupleType, is_tuple
-from repro.transforms.base import Pass
+from repro.ppl.traversal import Transformer, free_syms, rebuild, substitute
+from repro.ppl.types import INDEX, TensorType, is_tuple
+from repro.rewrite.framework import Match, PplTransformation, ShapePattern
 
-__all__ = ["InterchangePass", "interchange", "interchange_map_of_fold", "split_and_interchange"]
+__all__ = ["Interchange", "interchange", "interchange_map_of_fold", "split_and_interchange"]
 
 
 def _zero_location(rank: int) -> Expr:
@@ -309,7 +309,7 @@ def _apply_split(
 
 
 # ---------------------------------------------------------------------------
-# The pass
+# The transformation
 # ---------------------------------------------------------------------------
 
 
@@ -337,29 +337,61 @@ class _InterchangeRewriter(Transformer):
         return node
 
 
-class InterchangePass(Pass):
-    """Apply the interchange rules wherever the reuse heuristic allows."""
+class Interchange(PplTransformation):
+    """Table 3 / Figure 5: move strided folds out of unstrided patterns.
+
+    Records the rules that fired (``"rule1"`` / ``"split"``, in order) in
+    ``ctx.artifacts["applied_interchanges"]``.
+    """
 
     name = "interchange"
+    requires_tiling = True
 
-    def __init__(self, config: CompileConfig) -> None:
-        self.config = config
+    def pattern(self) -> ShapePattern:
+        return ShapePattern(
+            kinds=(Map, MultiFold),
+            where=lambda node: not node.domain.is_strided,
+            description="unstrided Map/MultiFold",
+        )
 
-    def run_on_body(self, program: Program) -> Expr:
-        if not self.config.tiling:
-            return program.body
+    def can_apply(self, program, match: Match, ctx) -> bool:
+        node = match.node
+        if isinstance(node, Map) and interchange_map_of_fold(node) is not None:
+            match.payload["rule"] = "rule1"
+            return True
+        if split_and_interchange(node, ctx.config.split_budget) is not None:
+            match.payload["rule"] = "split"
+            return True
+        return False
+
+    def apply(self, program: Program, ctx) -> Program:
+        applied: List[str] = []
         body = program.body
-        self.applied: List[str] = []
-        for _ in range(5):
-            rewriter = _InterchangeRewriter(self.config.split_budget)
-            new_body = rewriter.transform(body)
-            self.applied.extend(rewriter.applied)
-            if new_body is body:
-                break
-            body = new_body
-        return body
+        if ctx.config.tiling:
+            for _ in range(5):
+                rewriter = _InterchangeRewriter(ctx.config.split_budget)
+                new_body = rewriter.transform(body)
+                applied.extend(rewriter.applied)
+                if new_body is body:
+                    break
+                body = new_body
+        ctx.artifacts["applied_interchanges"] = applied
+        return self.with_body(program, body)
+
+    def config_key(self, ctx) -> Tuple:
+        return (config_signature(ctx.config),)
+
+    def payload(self, program, ctx) -> object:
+        return (program, tuple(ctx.artifacts.get("applied_interchanges", ())))
+
+    def restore(self, payload: object, ctx):
+        program, applied = payload
+        ctx.artifacts["applied_interchanges"] = list(applied)
+        return program
 
 
 def interchange(program: Program, config: CompileConfig) -> Program:
-    """Convenience function form of :class:`InterchangePass`."""
-    return InterchangePass(config).run(program)
+    """Convenience function form of :class:`Interchange`."""
+    from repro.pipeline.passes import PassContext
+
+    return Interchange().apply(program, PassContext(config=config))

@@ -1,9 +1,9 @@
 """Strip mining of parallel patterns (Table 1 / Table 2 of the paper).
 
 Strip mining is the first half of the automatic tiling transformation.  It is
-implemented as two passes, exactly as described in Section 4:
+implemented as two transformations, exactly as described in Section 4:
 
-1. :class:`StripMiningPass` partitions each pattern's iteration domain into
+1. :class:`StripMine` partitions each pattern's iteration domain into
    tiles of the user-specified size by breaking the pattern into a pair of
    perfectly nested patterns (Table 1).  The outer pattern iterates over the
    strided domain ``d/b`` (its index takes the values ``0, b, 2b, …``); the
@@ -22,7 +22,7 @@ implemented as two passes, exactly as described in Section 4:
      size in metadata and the hardware CAM merges per-tile partial results.
      This is the one documented deviation from Table 1 — see DESIGN.md.
 
-2. :class:`TileCopyInsertionPass` converts array accesses with statically
+2. :class:`TileCopies` converts array accesses with statically
    predictable (affine) access patterns into accesses of explicitly copied
    array tiles (the ``x.copy(b + ii)`` bindings of Table 2).  Accesses that
    are not affine in the loop indices — e.g. data-dependent reads — are left
@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.access import LinearForm, linear_form
 from repro.config import CompileConfig
+from repro.dse.cache import config_signature
 from repro.errors import TilingError
 from repro.ppl import builder as bld
 from repro.ppl.ir import (
@@ -66,10 +67,10 @@ from repro.ppl.traversal import (
     substitute,
     walk,
 )
-from repro.ppl.types import INDEX, TensorType, is_tensor
-from repro.transforms.base import Pass
+from repro.ppl.types import INDEX, TensorType
+from repro.rewrite.framework import Match, PplTransformation, ShapePattern
 
-__all__ = ["StripMiningPass", "TileCopyInsertionPass", "strip_mine"]
+__all__ = ["AxisPlan", "StripMine", "TileCopies", "strip_mine"]
 
 
 _OUTER_NAMES = ["ii", "jj", "kk", "ll"]
@@ -77,7 +78,7 @@ _INNER_NAMES = ["i", "j", "k", "l"]
 
 
 # ---------------------------------------------------------------------------
-# Pass 1: domain partitioning (Table 1)
+# Domain partitioning (Table 1)
 # ---------------------------------------------------------------------------
 
 
@@ -96,7 +97,7 @@ def _extent_key(extent: Expr) -> Optional[str]:
 
 
 @dataclass
-class _AxisPlan:
+class AxisPlan:
     """How one domain axis is handled during strip mining."""
 
     extent: Expr
@@ -115,28 +116,42 @@ class _AxisPlan:
         return Const(self.tile, INDEX) if self.tiled else self.extent
 
 
-class StripMiningPass(Pass):
-    """Break tiled pattern dimensions into perfectly nested pattern pairs."""
+class StripMine(PplTransformation):
+    """Table 1: split tiled pattern domains into perfectly nested pairs."""
 
-    name = "strip-mining"
+    name = "strip-mine"
+    requires_tiling = True
 
-    def __init__(self, config: CompileConfig) -> None:
-        self.config = config
+    def pattern(self) -> ShapePattern:
+        return ShapePattern(
+            kinds=(Map, MultiFold, FlatMap, GroupByFold),
+            where=lambda node: not node.domain.is_strided,
+            description="pattern over an unstrided domain",
+        )
 
-    def run_on_body(self, program: Program) -> Expr:
-        if not self.config.tiling or not self.config.tile_sizes:
-            return program.body
-        return self._strip(program.body)
+    def can_apply(self, program, match: Match, ctx) -> bool:
+        if not ctx.config.tiling or not ctx.config.tile_sizes:
+            return False
+        return any(plan.tiled for plan in self.plan_axes(match.node.domain, ctx.config))
+
+    def apply(self, program: Program, ctx) -> Program:
+        config = ctx.config
+        if not config.tiling or not config.tile_sizes:
+            return program
+        return self.with_body(program, self._strip(program.body, config))
+
+    def config_key(self, ctx) -> Tuple:
+        return (config_signature(ctx.config),)
 
     # -- recursion ------------------------------------------------------------
-    def _strip(self, node: Node) -> Node:
+    def _strip(self, node: Node, config: CompileConfig) -> Node:
         if isinstance(node, Pattern):
-            plans = self._plan_axes(node.domain)
+            plans = self.plan_axes(node.domain, config)
             if any(plan.tiled for plan in plans):
-                return self._strip_pattern(node, plans)
-        return self._recurse(node)
+                return self.strip_pattern(node, plans, config)
+        return self._recurse(node, config)
 
-    def _recurse(self, node: Node) -> Node:
+    def _recurse(self, node: Node, config: CompileConfig) -> Node:
         if node is None:
             return None
         new_values: Dict[str, object] = {}
@@ -144,35 +159,33 @@ class StripMiningPass(Pass):
         for name in node._fields:
             old = getattr(node, name)
             if isinstance(old, Node):
-                new = self._strip(old)
+                new = self._strip(old, config)
             elif isinstance(old, tuple):
-                new = tuple(self._strip(v) if isinstance(v, Node) else v for v in old)
+                new = tuple(self._strip(v, config) if isinstance(v, Node) else v for v in old)
             else:
                 new = old
             new_values[name] = new
-            if new is not old and not (
-                isinstance(old, tuple)
-                and isinstance(new, tuple)
-                and all(a is b for a, b in zip(old, new))
-            ):
+            if not _identical(old, new):
                 changed = True
         return rebuild(node, new_values) if changed else node
 
-    def _plan_axes(self, domain: Domain) -> List[_AxisPlan]:
+    @staticmethod
+    def plan_axes(domain: Domain, config: CompileConfig) -> List[AxisPlan]:
+        """One plan per axis of ``domain`` from the configured tile sizes."""
         plans = []
         for extent, stride in zip(domain.dims, domain.stride_exprs):
             already_strided = not (isinstance(stride, Const) and stride.value == 1)
             key = _extent_key(extent)
             tile = None
             if not already_strided and key is not None:
-                tile = self.config.tile_size_for(key)
+                tile = config.tile_size_for(key)
                 if tile is not None and isinstance(extent, Const) and extent.value <= tile:
                     tile = None  # the whole dimension already fits in one tile
-            plans.append(_AxisPlan(extent, tile))
+            plans.append(AxisPlan(extent, tile))
         return plans
 
     # -- per-pattern rules -----------------------------------------------------
-    def _make_index_syms(self, plans: Sequence[_AxisPlan]) -> tuple[list[Sym], list[Sym], list[Expr]]:
+    def _make_index_syms(self, plans: Sequence[AxisPlan]) -> tuple[list[Sym], list[Sym], list[Expr]]:
         outer_syms, inner_syms, global_idx = [], [], []
         for axis, plan in enumerate(plans):
             outer = bld.sym(_OUTER_NAMES[axis % len(_OUTER_NAMES)], INDEX)
@@ -182,13 +195,13 @@ class StripMiningPass(Pass):
             global_idx.append(bld.add(outer, inner))
         return outer_syms, inner_syms, global_idx
 
-    def _outer_domain(self, plans: Sequence[_AxisPlan]) -> Domain:
+    def _outer_domain(self, plans: Sequence[AxisPlan]) -> Domain:
         return Domain(
             tuple(plan.extent for plan in plans),
             tuple(plan.outer_stride for plan in plans),
         )
 
-    def _inner_domain(self, plans: Sequence[_AxisPlan], outer_syms: Sequence[Sym]) -> Domain:
+    def _inner_domain(self, plans: Sequence[AxisPlan], outer_syms: Sequence[Sym]) -> Domain:
         """The tile-local domain, clamped with a min check at partial tiles.
 
         The paper notes that non-dividing tile sizes are "trivially solved
@@ -203,21 +216,28 @@ class StripMiningPass(Pass):
                 dims.append(plan.extent)
         return Domain(tuple(dims))
 
-    def _strip_pattern(self, node: Pattern, plans: List[_AxisPlan]) -> Node:
+    def strip_pattern(
+        self, node: Pattern, plans: List[AxisPlan], config: CompileConfig
+    ) -> Node:
+        """Apply the Table 1 rule of ``node``'s kind with explicit axis plans.
+
+        Patterns nested in ``node``'s functions are strip mined with plans
+        from ``config``.
+        """
         if isinstance(node, Map):
-            return self._strip_map(node, plans)
+            return self._strip_map(node, plans, config)
         if isinstance(node, MultiFold):
-            return self._strip_multifold(node, plans)
+            return self._strip_multifold(node, plans, config)
         if isinstance(node, FlatMap):
-            return self._strip_flatmap(node, plans)
+            return self._strip_flatmap(node, plans, config)
         if isinstance(node, GroupByFold):
-            return self._strip_groupbyfold(node, plans)
+            return self._strip_groupbyfold(node, plans, config)
         raise TilingError(f"cannot strip mine pattern {type(node).__name__}")  # pragma: no cover
 
-    def _strip_map(self, node: Map, plans: List[_AxisPlan]) -> Node:
+    def _strip_map(self, node: Map, plans: List[AxisPlan], config: CompileConfig) -> Node:
         outer_syms, inner_syms, global_idx = self._make_index_syms(plans)
         body = substitute(node.func.body, dict(zip(node.func.params, global_idx)))
-        body = self._strip(body)
+        body = self._strip(body, config)
         inner = Map(self._inner_domain(plans, outer_syms), Lambda(tuple(inner_syms), body))
         inner.with_meta(tile_of="Map", strip_level="inner")
 
@@ -239,18 +259,22 @@ class StripMiningPass(Pass):
         )
         return outer
 
-    def _strip_multifold(self, node: MultiFold, plans: List[_AxisPlan]) -> Node:
+    def _strip_multifold(
+        self, node: MultiFold, plans: List[AxisPlan], config: CompileConfig
+    ) -> Node:
         outer_syms, inner_syms, global_idx = self._make_index_syms(plans)
         idx_map = dict(zip(node.index_func.params, global_idx))
         val_map = dict(zip(node.value_func.params[:-1], global_idx))
 
-        inner_index = Lambda(tuple(inner_syms), self._strip(substitute(node.index_func.body, idx_map)))
+        inner_index = Lambda(
+            tuple(inner_syms), self._strip(substitute(node.index_func.body, idx_map), config)
+        )
         acc_inner = node.value_func.params[-1]
         inner_value = Lambda(
             tuple(inner_syms) + (acc_inner,),
-            self._strip(substitute(node.value_func.body, val_map)),
+            self._strip(substitute(node.value_func.body, val_map), config),
         )
-        init = self._strip(node.init)
+        init = self._strip(node.init, config)
         # The combine function is left untiled: it runs once per partial
         # accumulator pair, and hardware generation eliminates the redundant
         # whole-accumulator combine of Table 1's general rule anyway
@@ -304,10 +328,12 @@ class StripMiningPass(Pass):
         )
         return outer
 
-    def _strip_flatmap(self, node: FlatMap, plans: List[_AxisPlan]) -> Node:
+    def _strip_flatmap(
+        self, node: FlatMap, plans: List[AxisPlan], config: CompileConfig
+    ) -> Node:
         outer_syms, inner_syms, global_idx = self._make_index_syms(plans)
         body = substitute(node.func.body, dict(zip(node.func.params, global_idx)))
-        body = self._strip(body)
+        body = self._strip(body, config)
         inner = FlatMap(self._inner_domain(plans, outer_syms), Lambda(tuple(inner_syms), body))
         inner.with_meta(tile_of="FlatMap", strip_level="inner")
         outer = FlatMap(self._outer_domain(plans), Lambda(tuple(outer_syms), inner))
@@ -318,11 +344,13 @@ class StripMiningPass(Pass):
         )
         return outer
 
-    def _strip_groupbyfold(self, node: GroupByFold, plans: List[_AxisPlan]) -> Node:
+    def _strip_groupbyfold(
+        self, node: GroupByFold, plans: List[AxisPlan], config: CompileConfig
+    ) -> Node:
         # Documented deviation: the output key space is dynamic, so the flat
         # form is kept and the tile size is recorded for the hardware CAM and
         # the traffic model (see the module docstring and DESIGN.md).
-        new = self._recurse(node)
+        new = self._recurse(node, config)
         if isinstance(new, Pattern):
             new.with_meta(
                 strip_mined=True,
@@ -332,21 +360,13 @@ class StripMiningPass(Pass):
         return new
 
     # -- helpers ---------------------------------------------------------------
-    def _strip_lambda(self, func: Optional[Lambda]) -> Optional[Lambda]:
-        if func is None:
-            return None
-        new_body = self._strip(func.body)
-        if new_body is func.body:
-            return func
-        return Lambda(func.params, new_body)
-
     @staticmethod
     def _apply_combine(combine: Lambda, left: Expr, right: Expr) -> Expr:
         return substitute(combine.body, dict(zip(combine.params, (left, right))))
 
 
 # ---------------------------------------------------------------------------
-# Pass 2: tile copy insertion (Table 2)
+# Tile copy insertion (Table 2)
 # ---------------------------------------------------------------------------
 
 
@@ -396,24 +416,37 @@ def _form_to_expr(form: LinearForm) -> Expr:
     return expr if expr is not None else Const(0, INDEX)
 
 
-class TileCopyInsertionPass(Pass):
-    """Insert explicit tile copies for affine accesses within strided patterns."""
+class TileCopies(PplTransformation):
+    """Table 2: materialise affine accesses of strided patterns as tiles."""
 
     name = "tile-copies"
+    requires_tiling = True
 
-    def __init__(self, config: CompileConfig) -> None:
-        self.config = config
+    def pattern(self) -> ShapePattern:
+        return ShapePattern(
+            kinds=(Map, MultiFold, FlatMap, GroupByFold),
+            where=lambda node: node.domain.is_strided,
+            description="pattern over a strided domain",
+        )
 
-    def run_on_body(self, program: Program) -> Expr:
-        if not self.config.tiling:
-            return program.body
-        self._input_arrays = set(program.inputs)
-        return self._process(program.body, tile_syms=set())
+    def can_apply(self, program, match: Match, ctx) -> bool:
+        inputs = set(program.inputs)
+        return self._insert_copies(match.node, set(), inputs) is not match.node
+
+    def apply(self, program: Program, ctx) -> Program:
+        if not ctx.config.tiling:
+            return program
+        return self.with_body(
+            program, self._process(program.body, set(), set(program.inputs))
+        )
+
+    def config_key(self, ctx) -> Tuple:
+        return (config_signature(ctx.config),)
 
     # -- recursion ------------------------------------------------------------
-    def _process(self, node: Node, tile_syms: set) -> Node:
+    def _process(self, node: Node, tile_syms: set, inputs: set) -> Node:
         if isinstance(node, Pattern) and node.domain.is_strided:
-            node = self._insert_copies(node, tile_syms)
+            node = self._insert_copies(node, tile_syms, inputs)
         if isinstance(node, Let) and isinstance(node.value, ArrayCopy):
             tile_syms = tile_syms | {node.sym}
 
@@ -422,9 +455,12 @@ class TileCopyInsertionPass(Pass):
         for name in node._fields:
             old = getattr(node, name)
             if isinstance(old, Node):
-                new = self._process(old, tile_syms)
+                new = self._process(old, tile_syms, inputs)
             elif isinstance(old, tuple):
-                new = tuple(self._process(v, tile_syms) if isinstance(v, Node) else v for v in old)
+                new = tuple(
+                    self._process(v, tile_syms, inputs) if isinstance(v, Node) else v
+                    for v in old
+                )
             else:
                 new = old
             new_values[name] = new
@@ -433,7 +469,7 @@ class TileCopyInsertionPass(Pass):
         return rebuild(node, new_values) if changed else node
 
     # -- the actual copy insertion ----------------------------------------------
-    def _insert_copies(self, pattern: Pattern, tile_syms: set) -> Pattern:
+    def _insert_copies(self, pattern: Pattern, tile_syms: set, inputs: set) -> Pattern:
         strided_info = self._strided_axes(pattern)
         if not strided_info:
             return pattern
@@ -453,7 +489,7 @@ class TileCopyInsertionPass(Pass):
         if not strided_params:
             return pattern
 
-        plans = self._plan_copies(pattern, func, strided_params, outer_map, tile_syms)
+        plans = self._plan_copies(pattern, func, strided_params, outer_map, tile_syms, inputs)
         if not plans:
             return pattern
 
@@ -502,6 +538,7 @@ class TileCopyInsertionPass(Pass):
         strided_params: set,
         outer_map: Dict[Sym, Expr],
         tile_syms: set,
+        inputs: set,
     ) -> List[_TilePlan]:
         candidates: Dict[Sym, _TilePlan] = {}
         rejected: set = set()
@@ -515,7 +552,7 @@ class TileCopyInsertionPass(Pass):
                 continue
             # Only main-memory input collections are worth copying on chip;
             # accumulators and function parameters are already on-chip values.
-            if array not in self._input_arrays or array not in pattern_free:
+            if array not in inputs or array not in pattern_free:
                 continue
             if array in rejected:
                 continue
@@ -579,6 +616,8 @@ def _identical(old, new) -> bool:
 
 
 def strip_mine(program: Program, config: CompileConfig) -> Program:
-    """Run both strip-mining passes (domain partitioning + tile copies)."""
-    partitioned = StripMiningPass(config).run(program)
-    return TileCopyInsertionPass(config).run(partitioned)
+    """Run both strip-mining rules (domain partitioning + tile copies)."""
+    from repro.pipeline.passes import PassContext
+
+    ctx = PassContext(config=config)
+    return TileCopies().apply(StripMine().apply(program, ctx), ctx)

@@ -19,17 +19,16 @@ interchanged forms exactly as the paper's tables do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.config import CompileConfig
 from repro.dse.cache import ANALYSIS_CACHE, config_signature
 from repro.ppl.program import Program
-from repro.transforms.base import Pass, PassPipeline
-from repro.transforms.code_motion import CodeMotion
-from repro.transforms.cse import CommonSubexpressionElimination
-from repro.transforms.fusion import FusionPass
-from repro.transforms.interchange import InterchangePass
-from repro.transforms.strip_mining import StripMiningPass, TileCopyInsertionPass
+from repro.transforms.code_motion import InvariantCodeMotion
+from repro.transforms.cse import LetCse
+from repro.transforms.fusion import VerticalFusion
+from repro.transforms.interchange import Interchange
+from repro.transforms.strip_mining import StripMine, TileCopies
 
 __all__ = ["TilingDriver", "TilingResult", "tile_program"]
 
@@ -97,7 +96,10 @@ class TilingDriver:
         )
 
     def _run(self, program: Program) -> TilingResult:
-        fused = FusionPass().run(program) if self.run_fusion else program
+        from repro.pipeline.passes import PassContext
+
+        ctx = PassContext(config=self.config)
+        fused = VerticalFusion().apply(program, ctx) if self.run_fusion else program
 
         if not self.config.tiling:
             return TilingResult(
@@ -109,16 +111,15 @@ class TilingDriver:
                 config=self.config,
             )
 
-        cse = CommonSubexpressionElimination()
-        motion = CodeMotion()
+        cse = LetCse()
+        motion = InvariantCodeMotion()
 
-        strip_mined = StripMiningPass(self.config).run(fused)
-        strip_mined = TileCopyInsertionPass(self.config).run(strip_mined)
-        strip_mined = motion.run(cse.run(strip_mined))
+        strip_mined = StripMine().apply(fused, ctx)
+        strip_mined = TileCopies().apply(strip_mined, ctx)
+        strip_mined = motion.apply(cse.apply(strip_mined, ctx), ctx)
 
-        interchange_pass = InterchangePass(self.config)
-        interchanged = interchange_pass.run(strip_mined)
-        tiled = motion.run(cse.run(interchanged))
+        interchanged = Interchange().apply(strip_mined, ctx)
+        tiled = motion.apply(cse.apply(interchanged, ctx), ctx)
 
         return TilingResult(
             original=program,
@@ -127,7 +128,7 @@ class TilingDriver:
             interchanged=interchanged,
             tiled=tiled,
             config=self.config,
-            applied_interchanges=list(getattr(interchange_pass, "applied", [])),
+            applied_interchanges=list(ctx.artifacts["applied_interchanges"]),
         )
 
 

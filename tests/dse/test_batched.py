@@ -7,14 +7,22 @@ import numpy as np
 import pytest
 
 from repro.apps import all_benchmarks, get_benchmark
+from repro.dse import engine
 from repro.dse.batch import evaluate_point_batch
 from repro.dse.cache import ANALYSIS_CACHE
 from repro.dse.engine import evaluate_point, explore
 from repro.dse.resilience import FaultPlan, ResiliencePolicy
 from repro.dse.search import hypervolume, run_search
 from repro.dse.space import DesignPoint, DesignSpace, default_space
+from repro.rewrite import DEFAULT_ORDERING, ordering_name
 
 BENCH_NAMES = [bench.name for bench in all_benchmarks()]
+
+#: The default ordering followed by the three schedule rules as separate steps.
+SCHEDULE_STEPS_ORDERING = ordering_name(
+    DEFAULT_ORDERING
+    + ("flatten-degenerate-groups", "coalesce-transfers", "rebalance-stages")
+)
 
 RESULT_FIELDS = (
     "cycles",
@@ -67,16 +75,26 @@ class TestBitIdentity:
         _assert_results_bit_identical(scalar, batched)
 
     @pytest.mark.parametrize(
-        "variant", ["rewrite", "rewrite-profiled", "no-fusion", "no-cse"]
+        "variant",
+        ["rewrite", "rewrite-profiled", "no-fusion", "no-cse", SCHEDULE_STEPS_ORDERING],
     )
-    def test_pipeline_variants_match(self, variant):
+    def test_pipeline_variants_match(self, variant, monkeypatch):
         bench = get_benchmark("gemm")
         program = bench.build()
         bindings = bench.bindings(rng=np.random.default_rng(5))
         points = list(_space_for(bench, pipeline=variant))[:8]
         with ANALYSIS_CACHE.disabled():
             scalar = [evaluate_point(program, bindings, p) for p in points]
+            # Every point must take the vector path: count scalar fallbacks.
+            fallbacks = []
+
+            def counting(*args, **kwargs):
+                fallbacks.append(args)
+                return evaluate_point(*args, **kwargs)
+
+            monkeypatch.setattr(engine, "evaluate_point", counting)
             batched = evaluate_point_batch(program, bindings, points)
+        assert fallbacks == []
         _assert_results_bit_identical(scalar, batched)
 
     def test_event_cycle_model_routes_through_scalar_and_matches(self):

@@ -6,40 +6,33 @@ import pytest
 from repro.analysis.traffic import schedule_traffic
 from repro.apps import all_benchmarks
 from repro.config import BASELINE, CompileConfig
-from repro.dse.cache import AnalysisCache
+from repro.dse.cache import ANALYSIS_CACHE, AnalysisCache
 from repro.pipeline import Session
 from repro.pipeline.passes import (
     BuildScheduleStage,
-    CodeMotionStage,
-    CseStage,
     EstimateAreaStage,
-    FusionStage,
     GenerateHardwareStage,
-    InterchangeStage,
     PassContext,
-    StripMineStage,
-    TileCopyStage,
     TransformationStage,
 )
 from repro.pipeline.pipeline import Pipeline
 from repro.ppl.ir import Let, Map
 from repro.ppl.traversal import structurally_equal
-from repro.rewrite import (
+from repro.rewrite import CostDelta, Match, ShapePattern, find_matches, ir_size
+from repro.schedule.rewrite import (
     CoalesceTransfers,
-    CostDelta,
     FlattenDegenerateGroups,
+    RebalanceStages,
+    ScheduleRewrite,
+)
+from repro.transforms import (
     Interchange,
     InvariantCodeMotion,
     LetCse,
-    Match,
-    RebalanceStages,
-    ScheduleRewrite,
-    ShapePattern,
     StripMine,
     TileCopies,
+    TilingDriver,
     VerticalFusion,
-    find_matches,
-    ir_size,
 )
 
 SIZES = {
@@ -119,7 +112,7 @@ class TestPplMatching:
         ctx = _ctx(_meta_config(bench))
         sites = VerticalFusion().matches(program, ctx)
         fused = VerticalFusion().apply(program, ctx)
-        # Sites found exactly when the legacy pass changes the program.
+        # Sites found exactly when applying the rewrite changes the program.
         assert bool(sites) == (fused is not program)
 
     def test_cleanup_transforms_match_where_their_passes_fire(self):
@@ -208,7 +201,7 @@ class TestScheduleTransformations:
             assert after.read_bytes == before.read_bytes
             assert after.write_bytes == before.write_bytes
 
-    def test_composite_reports_legacy_details(self):
+    def test_composite_reports_its_details(self):
         compiled = _compiled("tpchq6", pipeline="rewrite")
         record = compiled.report.record("rewrite-schedule")
         assert {
@@ -228,41 +221,30 @@ class TestScheduleTransformations:
 
 
 class TestTransformationStageParity:
-    """Re-expressed pipelines are bit-identical to the legacy stages."""
-
-    def _legacy_default(self):
-        return Pipeline(
-            [
-                FusionStage(),
-                StripMineStage(),
-                TileCopyStage(),
-                CseStage(),
-                CodeMotionStage(),
-                InterchangeStage(),
-                CseStage("post-cse"),
-                CodeMotionStage("post-code-motion"),
-                GenerateHardwareStage(),
-                BuildScheduleStage(),
-                EstimateAreaStage(),
-            ],
-            name="legacy-default",
-        )
+    """The default pipeline matches the hand-written TilingDriver flow."""
 
     @pytest.mark.parametrize("name", ["gemm", "tpchq6", "kmeans"])
     def test_program_and_area_parity_on_benchmarks(self, name):
         bench = _bench(name)
+        config = _meta_config(bench)
         bindings = bench.bindings(SIZES[name], np.random.default_rng(0))
-        # One source program for both compilations: fresh symbol names per
+        # One source program for both flows: fresh symbol names per
         # build() would defeat the structural comparison.
         program = bench.build()
-        legacy = Session().compile(
-            program, _meta_config(bench), bindings, pipeline=self._legacy_default()
+        terminals = Pipeline(
+            [GenerateHardwareStage(), BuildScheduleStage(), EstimateAreaStage()],
+            name="terminals-only",
         )
-        framework = Session().compile(program, _meta_config(bench), bindings)
-        assert structurally_equal(legacy.program.body, framework.program.body)
-        assert legacy.area.total == framework.area.total
+        # Uncached: a memoised result from an earlier build of the same
+        # benchmark would hold that build's input symbols.
+        with ANALYSIS_CACHE.disabled():
+            reference = TilingDriver(config).run(program).tiled
+            framework = Session().compile(program, config, bindings)
+            by_hand = Session().compile(reference, config, bindings, pipeline=terminals)
+        assert structurally_equal(reference.body, framework.tiled_program.body)
+        assert by_hand.area.total == framework.area.total
         assert (
-            legacy.simulate(cycle_model="analytical").cycles
+            by_hand.simulate(cycle_model="analytical").cycles
             == framework.simulate(cycle_model="analytical").cycles
         )
 

@@ -10,14 +10,8 @@ from repro.pipeline import Session
 from repro.pipeline.passes import PassContext
 from repro.ppl.interp import run_program
 from repro.ppl.traversal import walk
-from repro.rewrite import (
-    DEFAULT_ORDERING,
-    SplitStripMining,
-    StripMine,
-    TileCopies,
-    VerticalFusion,
-    ordering_name,
-)
+from repro.rewrite import DEFAULT_ORDERING, SplitStripMining, ordering_name
+from repro.transforms import StripMine, TileCopies, VerticalFusion
 
 #: Small sizes keep the interpreter runs fast; every dimension still spans
 #: several tiles so strip mining (and the split) fires everywhere.

@@ -30,9 +30,9 @@ from repro.schedule import (
 )
 from repro.schedule.rewrite import (
     BALANCE_FACTOR_CANDIDATES,
-    DegenerateGroupFlattening,
-    StageRebalancing,
-    TransferCoalescing,
+    CoalesceTransfers,
+    FlattenDegenerateGroups,
+    RebalanceStages,
     clone_schedule,
     rewrite_schedule,
     tune_balance_factor,
@@ -97,7 +97,7 @@ class TestTreeDepth:
         assert ComputeNode(name="t", unit="reduction", lanes=5).tree_depth == 3
 
 
-class TestTransferCoalescing:
+class TestCoalesceTransfers:
     def _schedule(self):
         load_a = TileLoad(name="load_a", bytes_per_invocation=1000, source="x", destination="xT")
         load_b = TileLoad(name="load_b", bytes_per_invocation=500, source="y", destination="yT")
@@ -110,7 +110,7 @@ class TestTransferCoalescing:
 
     def test_adjacent_same_direction_transfers_merge(self):
         schedule = self._schedule()
-        result = rewrite_schedule(schedule, rewrites=[TransferCoalescing()])
+        result = rewrite_schedule(schedule, rewrites=[CoalesceTransfers()])
         assert result.hits["coalesce-transfers"] == 1
         merged = result.schedule.transfers
         loads = [t for t in merged if t.direction == "load"]
@@ -122,7 +122,7 @@ class TestTransferCoalescing:
 
     def test_coalescing_preserves_traffic_and_modules(self):
         schedule = self._schedule()
-        result = rewrite_schedule(schedule, rewrites=[TransferCoalescing()])
+        result = rewrite_schedule(schedule, rewrites=[CoalesceTransfers()])
         before, after = schedule_traffic(schedule), schedule_traffic(result.schedule)
         assert before.read_bytes == after.read_bytes
         assert before.write_bytes == after.write_bytes
@@ -139,7 +139,7 @@ class TestTransferCoalescing:
         schedule = _design_with(
             SequentialController(name="seq", stages=[named, anonymous], iterations=2)
         ).schedule()
-        result = rewrite_schedule(schedule, rewrites=[TransferCoalescing()])
+        result = rewrite_schedule(schedule, rewrites=[CoalesceTransfers()])
         assert result.hits["coalesce-transfers"] == 1
         assert result.schedule.transfers[0].source == "x+load_b"
 
@@ -149,18 +149,18 @@ class TestTransferCoalescing:
         schedule = _design_with(
             SequentialController(name="seq", stages=[load, store], iterations=2)
         ).schedule()
-        result = rewrite_schedule(schedule, rewrites=[TransferCoalescing()])
+        result = rewrite_schedule(schedule, rewrites=[CoalesceTransfers()])
         assert result.hits["coalesce-transfers"] == 0
 
     def test_coalescing_saves_a_dram_latency(self):
         schedule = self._schedule()
-        result = rewrite_schedule(schedule, rewrites=[TransferCoalescing()])
+        result = rewrite_schedule(schedule, rewrites=[CoalesceTransfers()])
         before = EventScheduleBackend().run(schedule).cycles
         after = EventScheduleBackend().run(result.schedule).cycles
         assert after < before
 
 
-class TestStageRebalancing:
+class TestRebalanceStages:
     def test_underfull_adjacent_stages_merge(self):
         model = PerformanceModel(metapipeline_sync=0)
         tiny_a = VectorUnit(name="a", lanes=1, elements=10, pipeline_depth=0)
@@ -169,7 +169,7 @@ class TestStageRebalancing:
         schedule = _design_with(
             MetapipelineController(name="meta", stages=[tiny_a, tiny_b, big], iterations=16)
         ).schedule()
-        result = rewrite_schedule(schedule, model=model, rewrites=[StageRebalancing()])
+        result = rewrite_schedule(schedule, model=model, rewrites=[RebalanceStages()])
         assert result.hits["rebalance-stages"] == 1
         meta = result.schedule.nodes_of(MetapipelineSchedule)[0]
         assert meta.num_stages == 2
@@ -191,7 +191,7 @@ class TestStageRebalancing:
         schedule = _design_with(
             MetapipelineController(name="meta", stages=[a, b, big], iterations=16)
         ).schedule()
-        result = rewrite_schedule(schedule, rewrites=[StageRebalancing()])
+        result = rewrite_schedule(schedule, rewrites=[RebalanceStages()])
         assert result.hits["rebalance-stages"] == 0
 
     def test_bottleneck_sequential_stage_splits(self):
@@ -202,7 +202,7 @@ class TestStageRebalancing:
         schedule = _design_with(
             MetapipelineController(name="meta", stages=[serial, small], iterations=16)
         ).schedule()
-        result = rewrite_schedule(schedule, rewrites=[StageRebalancing()])
+        result = rewrite_schedule(schedule, rewrites=[RebalanceStages()])
         assert result.hits["rebalance-stages"] >= 1
         meta = result.schedule.nodes_of(MetapipelineSchedule)[0]
         # The serial bottleneck became two overlapped stages.
@@ -213,7 +213,7 @@ class TestStageRebalancing:
 
     def test_balance_factor_validation(self):
         with pytest.raises(ValueError, match="balance_factor"):
-            StageRebalancing(balance_factor=0.5)
+            RebalanceStages(balance_factor=0.5)
 
 
 class TestProfiledRebalancing:
@@ -226,7 +226,7 @@ class TestProfiledRebalancing:
 
     def test_invalid_cost_source_rejected(self):
         with pytest.raises(ValueError, match="cost_source"):
-            StageRebalancing(cost_source="profiler")
+            RebalanceStages(cost_source="profiler")
 
     def test_event_cost_source_preserves_legality(self):
         schedule = self._benchmark_schedule()
@@ -286,7 +286,7 @@ class TestDegenerateFlattening:
         schedule = _design_with(
             SequentialController(name="outer", stages=[wrapped], iterations=1)
         ).schedule()
-        result = rewrite_schedule(schedule, rewrites=[DegenerateGroupFlattening()])
+        result = rewrite_schedule(schedule, rewrites=[FlattenDegenerateGroups()])
         assert result.hits["flatten-degenerate-groups"] == 2
         assert isinstance(result.schedule.root, ComputeNode)
         # The flattened controllers' modules survive on the child.
@@ -299,7 +299,7 @@ class TestDegenerateFlattening:
         schedule = _design_with(
             SequentialController(name="loop", stages=[unit], iterations=8)
         ).schedule()
-        result = rewrite_schedule(schedule, rewrites=[DegenerateGroupFlattening()])
+        result = rewrite_schedule(schedule, rewrites=[FlattenDegenerateGroups()])
         assert result.hits["flatten-degenerate-groups"] == 0
 
     def test_zero_iteration_groups_are_not_degenerate(self):

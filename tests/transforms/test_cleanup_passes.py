@@ -1,4 +1,4 @@
-"""Fusion, CSE and code motion passes."""
+"""The fusion, CSE and code-motion transformations."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,9 @@ from repro.ppl.ir import ArrayCopy, Let, Map, MultiFold
 from repro.ppl.program import Program
 from repro.ppl.traversal import collect, count_nodes, find_patterns
 from repro.ppl.types import INDEX
-from repro.transforms.code_motion import CodeMotion
-from repro.transforms.cse import CommonSubexpressionElimination
-from repro.transforms.fusion import FusionPass
+from repro.transforms.code_motion import InvariantCodeMotion
+from repro.transforms.cse import LetCse
+from repro.transforms.fusion import VerticalFusion
 from repro.transforms.strip_mining import strip_mine
 
 
@@ -31,13 +31,13 @@ class TestFusion:
 
     def test_vertical_fusion_removes_intermediate(self):
         program = self._map_of_map_program()
-        fused = FusionPass().run(program)
+        fused = VerticalFusion().apply(program)
         assert not collect(fused.body, lambda node: isinstance(node, Let))
         assert len(find_patterns(fused.body)) == 1
 
     def test_fusion_preserves_semantics(self, rng):
         program = self._map_of_map_program()
-        fused = FusionPass().run(program)
+        fused = VerticalFusion().apply(program)
         x = rng.normal(size=9)
         np.testing.assert_allclose(
             run_program(fused, {"x": x, "n": 9}),
@@ -54,7 +54,7 @@ class TestFusion:
             lambda sq: b.fold(b.domain(n), b.flt(0.0), lambda i, acc: b.add(acc, b.apply_array(sq, i))),
         )
         program = Program("sumsq", inputs=[x], sizes=[n], body=body)
-        fused = FusionPass().run(program)
+        fused = VerticalFusion().apply(program)
         assert len(find_patterns(fused.body)) == 1
         x_val = rng.normal(size=11)
         assert run_program(fused, {"x": x_val, "n": 11}) == pytest.approx((x_val**2).sum())
@@ -69,7 +69,7 @@ class TestFusion:
             lambda r: b.fold(b.domain(n), b.flt(0.0), lambda i, acc: b.add(acc, b.apply_array(r, 0))),
         )
         program = Program("keep", inputs=[x], sizes=[n], body=body)
-        fused = FusionPass().run(program)
+        fused = VerticalFusion().apply(program)
         # Consumer reads a fixed element, not the loop index; fusion still
         # applies because the read is an element read, result stays correct.
         x_val = np.arange(12.0).reshape(4, 3)
@@ -81,7 +81,7 @@ class TestFusion:
     def test_benchmarks_already_fused(self):
         for name in ["gemm", "kmeans", "gda"]:
             program = get_benchmark(name).build()
-            fused = FusionPass().run(program)
+            fused = VerticalFusion().apply(program)
             assert count_nodes(fused.body) == count_nodes(program.body)
 
 
@@ -111,7 +111,7 @@ class TestCSE:
             ),
         )
         program = Program("dup", inputs=[x], sizes=[n], body=body)
-        after = CommonSubexpressionElimination().run(program)
+        after = LetCse().apply(program)
         copies = collect(after.body, lambda node: isinstance(node, ArrayCopy))
         assert len(copies) == 1
 
@@ -124,14 +124,14 @@ class TestCSE:
 
         body = Let(b.sym("dead", unused.ty), unused, used_body)
         program = Program("dead", inputs=[x], sizes=[n], body=body)
-        after = CommonSubexpressionElimination().run(program)
+        after = LetCse().apply(program)
         assert not collect(after.body, lambda node: isinstance(node, Let))
 
     def test_cse_preserves_semantics(self, rng):
         bench = get_benchmark("sumrows")
         program = bench.build()
         tiled = strip_mine(program, CompileConfig(tiling=True, tile_sizes={"m": 2, "n": 2}))
-        after = CommonSubexpressionElimination().run(tiled)
+        after = LetCse().apply(tiled)
         bindings = bench.bindings(rng=rng)
         np.testing.assert_allclose(run_program(after, bindings), run_program(program, bindings))
 
@@ -151,7 +151,7 @@ class TestCodeMotion:
 
         body = b.pmap(b.domain(n), body_fn)
         program = Program("hoistable", inputs=[x, y], sizes=[n, m], body=body)
-        hoisted = CodeMotion().run(program)
+        hoisted = InvariantCodeMotion().apply(program)
         assert isinstance(hoisted.body, Let), "the invariant tile copy must move out of the Map"
         assert isinstance(hoisted.body.body, Map)
 
@@ -165,7 +165,7 @@ class TestCodeMotion:
 
         body = b.pmap(b.domain(n), body_fn)
         program = Program("dependent", inputs=[x], sizes=[n], body=body)
-        hoisted = CodeMotion().run(program)
+        hoisted = InvariantCodeMotion().apply(program)
         assert isinstance(hoisted.body, Map), "index-dependent copies must stay inside the Map"
 
     def test_code_motion_preserves_semantics(self, rng):
@@ -173,7 +173,7 @@ class TestCodeMotion:
         program = bench.build()
         config = CompileConfig(tiling=True, tile_sizes={"m": 2, "n": 2, "p": 2})
         tiled = strip_mine(program, config)
-        after = CodeMotion().run(CommonSubexpressionElimination().run(tiled))
+        after = InvariantCodeMotion().apply(LetCse().apply(tiled))
         bindings = bench.bindings(rng=rng)
         np.testing.assert_allclose(
             run_program(after, bindings), run_program(program, bindings), rtol=1e-9

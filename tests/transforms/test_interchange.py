@@ -11,8 +11,10 @@ from repro.ppl.ir import Let, Map, MultiFold
 from repro.ppl.program import Program
 from repro.ppl.traversal import collect, find_patterns
 from repro.ppl.types import INDEX
+from repro.pipeline.passes import PassContext
 from repro.transforms.interchange import (
-    InterchangePass,
+    Interchange,
+    interchange,
     interchange_map_of_fold,
     split_and_interchange,
 )
@@ -105,7 +107,7 @@ class TestGemmInterchange:
         bench = get_benchmark("gemm")
         program = bench.build()
         strip_mined = strip_mine(program, _config(m=2, n=2, p=2))
-        interchanged = InterchangePass(_config(m=2, n=2, p=2)).run(strip_mined)
+        interchanged = interchange(strip_mined, _config(m=2, n=2, p=2))
         return bench, program, strip_mined, interchanged
 
     def test_rule1_applied(self):
@@ -140,13 +142,13 @@ class TestKmeansSplitInterchange:
         program = bench.build()
         config = _config(n=4, k=2)
         strip_mined = strip_mine(program, config)
-        interchange_pass = InterchangePass(config)
-        interchanged = interchange_pass.run(strip_mined)
-        return bench, program, strip_mined, interchanged, interchange_pass
+        ctx = PassContext(config=config)
+        interchanged = Interchange().apply(strip_mined, ctx)
+        return bench, program, strip_mined, interchanged, ctx.artifacts["applied_interchanges"]
 
     def test_split_applied(self):
-        _, _, _, interchanged, interchange_pass = self._tiled_kmeans()
-        assert "split" in interchange_pass.applied
+        _, _, _, interchanged, applied = self._tiled_kmeans()
+        assert "split" in applied
 
     def test_intermediate_vector_created(self):
         _, _, _, interchanged, _ = self._tiled_kmeans()
@@ -170,9 +172,9 @@ class TestKmeansSplitInterchange:
         program = bench.build()
         config = CompileConfig(tiling=True, tile_sizes={"n": 4, "k": 2}, split_threshold_words=1)
         strip_mined = strip_mine(program, config)
-        interchange_pass = InterchangePass(config)
-        interchange_pass.run(strip_mined)
-        assert "split" not in interchange_pass.applied
+        ctx = PassContext(config=config)
+        Interchange().apply(strip_mined, ctx)
+        assert "split" not in ctx.artifacts["applied_interchanges"]
 
 
 class TestSplitHelper:
@@ -186,14 +188,14 @@ class TestSplitHelper:
         assert split_and_interchange(patterns[0], 10**9) is None
 
 
-class TestInterchangePassOnAllBenchmarks:
+class TestInterchangeOnAllBenchmarks:
     @pytest.mark.parametrize("name", ["outerprod", "sumrows", "gemm", "tpchq6", "gda", "kmeans"])
     def test_semantics_preserved(self, name, rng):
         bench = get_benchmark(name)
         program = bench.build()
         config = CompileConfig(tiling=True, tile_sizes={k: 2 for k in bench.tile_sizes})
         strip_mined = strip_mine(program, config)
-        interchanged = InterchangePass(config).run(strip_mined)
+        interchanged = interchange(strip_mined, config)
         bindings = bench.bindings(rng=rng)
         np.testing.assert_allclose(
             np.asarray(run_program(interchanged, bindings), dtype=float),

@@ -12,7 +12,8 @@ from repro.ppl.printer import pretty
 from repro.ppl.program import Program
 from repro.ppl.traversal import collect, find_patterns
 from repro.ppl.types import INDEX
-from repro.transforms.strip_mining import StripMiningPass, TileCopyInsertionPass, strip_mine
+from repro.pipeline.passes import PassContext
+from repro.transforms.strip_mining import StripMine, TileCopies, strip_mine
 
 
 def _config(**tiles):
@@ -196,13 +197,14 @@ class TestPassBehaviour:
     def test_disabled_tiling_is_identity(self):
         program = _elementwise_map_program()
         config = CompileConfig(tiling=False)
-        assert StripMiningPass(config).run(program).body is program.body
-        assert TileCopyInsertionPass(config).run(program).body is program.body
+        ctx = PassContext(config=config)
+        assert StripMine().apply(program, ctx).body is program.body
+        assert TileCopies().apply(program, ctx).body is program.body
 
     def test_strided_pattern_not_restripped(self):
         program = _elementwise_map_program()
         once = strip_mine(program, _config(n=4))
-        twice = StripMiningPass(_config(n=4)).run(once)
+        twice = StripMine().apply(once, PassContext(config=_config(n=4)))
         # Already-strided dimensions are skipped; node count should not grow.
         from repro.ppl.traversal import count_nodes
 
