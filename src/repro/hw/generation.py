@@ -31,6 +31,7 @@ Section 6.2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -43,6 +44,7 @@ from repro.analysis.estimate import (
     workload_env,
 )
 from repro.config import CompileConfig
+from repro.dse.cache import ANALYSIS_CACHE
 from repro.errors import HardwareGenerationError
 from repro.hw.controllers import (
     Controller,
@@ -81,7 +83,7 @@ from repro.ppl.ir import (
     Sym,
 )
 from repro.ppl.program import Program
-from repro.ppl.traversal import collect, walk
+from repro.ppl.traversal import walk
 from repro.target.device import Board, DEFAULT_BOARD
 
 __all__ = ["GenerationShared", "HardwareGenerator", "generate_hardware"]
@@ -143,33 +145,45 @@ class GenerationShared:
         return cached
 
     def preload_plan(self) -> Tuple[Tuple[str, int], ...]:
-        """``(array name, words)`` of inputs preloadable whole on chip."""
-        if self._preload_plan is not None:
-            return self._preload_plan
-        copied = {
-            node.array.name
-            for node in collect(self.program.body, lambda n: isinstance(n, ArrayCopy))
-            if isinstance(node.array, Sym)
-        }
-        accessed = set()
-        for node in walk(self.program.body):
-            if isinstance(node, (ArrayApply, ArraySlice)) and isinstance(node.array, Sym):
-                accessed.add(node.array.name)
-        plan: List[Tuple[str, int]] = []
-        for array in self.program.inputs:
-            if array.name in copied or array.name not in accessed:
-                continue
-            shape = self.shapes.get(array.name)
-            if not shape:
-                continue
-            words = 1
-            for dim in shape:
-                words *= dim
-            if words * WORD_BYTES > PRELOAD_LIMIT_BYTES:
-                continue
-            plan.append((array.name, words))
-        self._preload_plan = tuple(plan)
+        """``(array name, words)`` of inputs preloadable whole on chip.
+
+        The candidates are the inputs small enough to preload; a candidate
+        is planned when the body reads it and never tile-copies it.  That
+        check reads only the body, so it is memoised on the body's
+        structural hash and the candidates: one IR walk per tiled body, not
+        one per design point.
+        """
+        if self._preload_plan is None:
+            candidates = []
+            for array in self.program.inputs:
+                shape = self.shapes.get(array.name)
+                if not shape:
+                    continue
+                words = math.prod(shape)
+                if words * WORD_BYTES <= PRELOAD_LIMIT_BYTES:
+                    candidates.append((array.name, words))
+            plan: Tuple[Tuple[str, int], ...] = ()
+            if candidates:
+                key = (self.program.body.structural_hash(), tuple(candidates))
+                plan = ANALYSIS_CACHE.memoize(
+                    "preload_plan", key, lambda: self._read_uncopied(candidates)
+                )
+            self._preload_plan = plan
         return self._preload_plan
+
+    def _read_uncopied(self, candidates: List[Tuple[str, int]]) -> Tuple[Tuple[str, int], ...]:
+        """The candidates the body reads directly and never tile-copies."""
+        copied, accessed = set(), set()
+        for node in walk(self.program.body):
+            if isinstance(node, ArrayCopy):
+                names = copied
+            elif isinstance(node, (ArrayApply, ArraySlice)):
+                names = accessed
+            else:
+                continue
+            if isinstance(node.array, Sym):
+                names.add(node.array.name)
+        return tuple(c for c in candidates if c[0] in accessed and c[0] not in copied)
 
     def output_words(self, expr: Expr, compute) -> int:
         key = id(expr)

@@ -41,26 +41,10 @@ from repro.pipeline.passes import (
     PipelinePass,
 )
 from repro.ppl.program import Program
-from repro.ppl.traversal import count_nodes
 
 __all__ = ["PassRecord", "PipelineReport", "PipelineOutcome", "Pipeline"]
 
 _MISSING = object()
-
-
-def _node_count(body) -> int:
-    """Node count of an IR body, cached on the (immutable) node.
-
-    Pipeline instrumentation records IR sizes around every pass of every
-    compile; memoised passes hand back shared node objects, so caching the
-    count alongside the structural hash turns ~20 full-tree walks per
-    compile into one walk per distinct body.
-    """
-    cached = getattr(body, "_node_count", None)
-    if cached is None:
-        cached = count_nodes(body)
-        body._node_count = cached
-    return cached
 
 
 @dataclass
@@ -328,7 +312,7 @@ class Pipeline:
         report = PipelineReport(pipeline=self.name, program=program.name)
         current = program
         for pass_ in self.passes:
-            nodes_before = _node_count(current.body)
+            nodes_before = current.body.node_count()
             pass_started = time.perf_counter()
             key = self._memo_key(pass_, current, ctx)
             if key is None:
@@ -352,9 +336,10 @@ class Pipeline:
                     seconds=elapsed,
                     cached=cached,
                     nodes_before=nodes_before,
-                    nodes_after=_node_count(next_program.body),
+                    nodes_after=next_program.body.node_count(),
                     changed=(
-                        next_program.body.structural_hash()
+                        next_program.body is not current.body
+                        and next_program.body.structural_hash()
                         != current.body.structural_hash()
                     ),
                     iterations=ctx.artifacts.pop(PASS_ITERATIONS_KEY, 1),

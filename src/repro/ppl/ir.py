@@ -85,6 +85,28 @@ COMPARISON_OPS = ("<", "<=", ">", ">=", "==", "!=")
 UNARY_OPS = ("neg", "abs", "sqrt", "exp", "log", "not", "recip")
 
 
+_EMPTY: frozenset = frozenset()
+
+#: Interned subtree kind sets: structurally similar subtrees share one object.
+_KIND_SETS: dict = {}
+
+#: Instance attributes holding facts derived from a node's (immutable)
+#: fields.  They are filled on first use and never pickled: an unpickled
+#: node recomputes them on demand.
+DERIVED_CACHES = frozenset({"_children", "_free_syms", "_node_count", "_kinds"})
+
+
+def _union(sets: Iterable[frozenset]) -> frozenset:
+    """Union of frozensets, reusing an operand when it already covers the rest."""
+    result = _EMPTY
+    for item in sets:
+        if not result:
+            result = item
+        elif item and not item <= result:
+            result = result | item
+    return result
+
+
 class Node:
     """Base class of all IR nodes.
 
@@ -92,14 +114,44 @@ class Node:
     tuples of child nodes) and ``_attrs`` (names of plain-data attributes).
     Generic traversal and rebuilding in :mod:`repro.ppl.traversal` relies on
     these declarations.
+
+    **Immutability contract.** Fields and attributes are assigned in
+    ``__init__`` only; a rewrite builds new nodes instead of editing old
+    ones.  (Pattern ``meta`` is the one mutable annotation, and no structural
+    fact reads it.)  Every fact derived from the fields is therefore computed
+    at most once per node and cached on it:
+
+    * ``_shash`` — :meth:`structural_hash`, persisted with the node because
+      it keys the disk-persisted analysis cache;
+    * ``_children`` — :meth:`children`, the child tuple built from
+      ``_fields``;
+    * ``_free_syms`` — :meth:`free_syms`, built bottom-up from the children;
+    * ``_node_count`` — :meth:`node_count`, built bottom-up;
+    * ``_kinds`` — :meth:`subtree_kinds`, the interned set of node classes in
+      the subtree (what lets :class:`~repro.ppl.traversal.Transformer` skip
+      subtrees its hooks cannot touch).
+
+    The last four (:data:`DERIVED_CACHES`) are left out of pickles, so disk
+    stores and pool payloads stay the size of the bare tree.
     """
 
     _fields: tuple[str, ...] = ()
     _attrs: tuple[str, ...] = ()
 
+    _shash: Optional[int] = None
+    _children: Optional[tuple["Node", ...]] = None
+    _free_syms: Optional[frozenset] = None
+    _node_count: Optional[int] = None
+    _kinds: Optional[frozenset] = None
+
     def __init__(self) -> None:
         self.node_id = next(_NODE_IDS)
-        self._shash: Optional[int] = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if not DERIVED_CACHES.isdisjoint(state):
+            state = {k: v for k, v in state.items() if k not in DERIVED_CACHES}
+        return state
 
     # -- structural hashing ------------------------------------------------
     def structural_hash(self) -> int:
@@ -123,20 +175,50 @@ class Node:
         return self._shash
 
     # -- generic structure -------------------------------------------------
-    def children(self) -> list["Node"]:
+    def children(self) -> tuple["Node", ...]:
         """All direct child nodes, flattening tuple-valued fields."""
-        result: list[Node] = []
-        for name in self._fields:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if isinstance(value, Node):
-                result.append(value)
-            elif isinstance(value, tuple):
-                result.extend(v for v in value if isinstance(v, Node))
-            else:  # pragma: no cover - defensive
-                raise IRError(f"field {name!r} of {type(self).__name__} is not a node")
-        return result
+        cached = self._children
+        if cached is None:
+            result: list[Node] = []
+            for name in self._fields:
+                value = getattr(self, name)
+                if value is None:
+                    continue
+                if isinstance(value, Node):
+                    result.append(value)
+                elif isinstance(value, tuple):
+                    result.extend(v for v in value if isinstance(v, Node))
+                else:  # pragma: no cover - defensive
+                    raise IRError(f"field {name!r} of {type(self).__name__} is not a node")
+            cached = self._children = tuple(result)
+        return cached
+
+    def free_syms(self) -> frozenset:
+        """Symbols referenced in this subtree and not bound inside it."""
+        cached = self._free_syms
+        if cached is None:
+            cached = self._free_syms = self._compute_free_syms()
+        return cached
+
+    def _compute_free_syms(self) -> frozenset:
+        return _union(child.free_syms() for child in self.children())
+
+    def node_count(self) -> int:
+        """Number of nodes in this subtree, counted per occurrence."""
+        cached = self._node_count
+        if cached is None:
+            cached = self._node_count = 1 + sum(c.node_count() for c in self.children())
+        return cached
+
+    def subtree_kinds(self) -> frozenset:
+        """The set of node classes occurring in this subtree (interned)."""
+        cached = self._kinds
+        if cached is None:
+            kinds = _union(child.subtree_kinds() for child in self.children())
+            if type(self) not in kinds:
+                kinds = kinds | {type(self)}
+            cached = self._kinds = _KIND_SETS.setdefault(kinds, kinds)
+        return cached
 
     def field_values(self) -> dict[str, object]:
         """Mapping of field name to its (node or tuple-of-node) value."""
@@ -215,6 +297,9 @@ class Sym(Expr):
 
     def __repr__(self) -> str:
         return f"Sym({self.name})"
+
+    def _compute_free_syms(self) -> frozenset:
+        return frozenset((self,))
 
     def __hash__(self) -> int:
         return id(self)
@@ -314,8 +399,11 @@ class Let(Expr):
         self.value = value
         self.body = body
 
-    def children(self) -> list["Node"]:
-        return [self.value, self.body]
+    def _compute_free_syms(self) -> frozenset:
+        body = self.body.free_syms()
+        if self.sym in body:
+            body = body - {self.sym}
+        return _union((self.value.free_syms(), body))
 
 
 class MakeTuple(Expr):
@@ -541,6 +629,10 @@ class Lambda(Node):
         if not all(isinstance(p, Sym) for p in self.params):
             raise IRError("Lambda parameters must be Sym nodes")
         self.body = body
+
+    def _compute_free_syms(self) -> frozenset:
+        body = self.body.free_syms()
+        return body if body.isdisjoint(self.params) else body.difference(self.params)
 
     @property
     def arity(self) -> int:

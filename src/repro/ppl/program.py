@@ -14,7 +14,6 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import IRError
 from repro.ppl.ir import Expr, MakeTuple, Node, Sym
-from repro.ppl.traversal import free_syms
 from repro.ppl.types import TensorType, is_tensor
 
 __all__ = ["Program", "named_outputs"]
@@ -49,7 +48,7 @@ class Program:
     # -- introspection ------------------------------------------------------
     def _validate_closed(self) -> None:
         allowed = set(self.inputs) | set(self.sizes)
-        unbound = {s for s in free_syms(self.body) if s not in allowed}
+        unbound = [s for s in self.body.free_syms() if s not in allowed]
         if unbound:
             names = ", ".join(sorted(s.name for s in unbound))
             raise IRError(f"program {self.name!r} has unbound symbols: {names}")

@@ -173,17 +173,56 @@ def _map_field(value: object, fn: Callable[[Node], Node]) -> object:
 # ---------------------------------------------------------------------------
 
 
+def _hook_kinds(cls: type) -> Optional[frozenset]:
+    """The node classes ``cls``'s ``rewrite_<ClassName>`` hooks handle.
+
+    ``None`` (visit everything) when a hook names no IR node class or the
+    transformer has a ``rewrite_default`` catch-all.
+    """
+    if hasattr(cls, "rewrite_default"):
+        return None
+    kinds = set()
+    for name in dir(cls):
+        if name.startswith("rewrite_"):
+            node_cls = getattr(ir, name[len("rewrite_"):], None)
+            if not (isinstance(node_cls, type) and issubclass(node_cls, Node)):
+                return None
+            kinds.add(node_cls)
+    return frozenset(kinds)
+
+
 class Transformer:
     """Bottom-up IR rewriter.
 
     Subclasses override ``rewrite_<ClassName>`` methods which receive the node
     *after* its children have been transformed and may return a replacement
     node (or the node unchanged).  The default behaviour is the identity.
+
+    ``kinds`` is the set of node classes the transformer can change: a
+    subtree containing none of them (see ``Node.subtree_kinds``) is returned
+    as is, without being visited.  It is derived from the hook names; a
+    subclass that overrides :meth:`transform` gets the skip only if it
+    declares ``kinds`` itself.  ``None`` visits every node.
     """
+
+    kinds: Optional[frozenset] = frozenset()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "kinds" in cls.__dict__:
+            if cls.kinds is not None:
+                cls.kinds = frozenset(cls.kinds)
+        elif cls.transform is not Transformer.transform:
+            cls.kinds = None
+        else:
+            cls.kinds = _hook_kinds(cls)
 
     def transform(self, node: Node) -> Node:
         if node is None:
             return None
+        kinds = self.kinds
+        if kinds is not None and kinds.isdisjoint(node.subtree_kinds()):
+            return node
         new_values: Dict[str, object] = {}
         changed = False
         for name in node._fields:
@@ -257,11 +296,11 @@ def collect(node: Node, predicate: Callable[[Node], bool]) -> list[Node]:
 
 
 def count_nodes(node: Node) -> int:
-    return sum(1 for _ in walk(node))
+    return 0 if node is None else node.node_count()
 
 
 def contains_node_type(node: Node, node_type: type) -> bool:
-    return any(isinstance(n, node_type) for n in walk(node))
+    return node is not None and any(issubclass(k, node_type) for k in node.subtree_kinds())
 
 
 def find_patterns(node: Node) -> list[Pattern]:
@@ -281,6 +320,8 @@ def pattern_depth(node: Node) -> int:
 
 
 class _Substituter(Transformer):
+    kinds = (Sym,)
+
     def __init__(self, mapping: Dict[Sym, Expr]) -> None:
         self.mapping = mapping
 
@@ -298,30 +339,11 @@ def substitute(node: Node, mapping: Dict[Sym, Expr]) -> Node:
 
 
 def free_syms(node: Node, bound: Optional[set] = None) -> set:
-    """Symbols referenced by ``node`` that are not bound by an enclosing lambda."""
-    bound = set(bound or ())
-    result: set = set()
-
-    def go(current: Node, bound_here: frozenset) -> None:
-        if current is None:
-            return
-        if isinstance(current, Sym):
-            if current not in bound_here:
-                result.add(current)
-            return
-        if isinstance(current, Lambda):
-            inner = bound_here | frozenset(current.params)
-            go(current.body, inner)
-            return
-        if isinstance(current, Let):
-            go(current.value, bound_here)
-            go(current.body, bound_here | frozenset((current.sym,)))
-            return
-        for child in current.children():
-            go(child, bound_here)
-
-    go(node, frozenset(bound))
-    return result
+    """Symbols referenced by ``node`` that are not bound by an enclosing lambda or Let."""
+    if node is None:
+        return set()
+    free = node.free_syms()
+    return set(free.difference(bound)) if bound else set(free)
 
 
 def structurally_equal(left: Node, right: Node, sym_map: Optional[Dict[Sym, Sym]] = None) -> bool:

@@ -106,9 +106,7 @@ def find_matches(nodes, pattern: ShapePattern) -> List[Match]:
 
 def ir_size(body) -> int:
     """Node count of a PPL expression tree — the IR-size cost proxy."""
-    from repro.ppl.traversal import walk
-
-    return sum(1 for _ in walk(body))
+    return body.node_count()
 
 
 @dataclass

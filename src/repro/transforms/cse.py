@@ -28,6 +28,8 @@ __all__ = ["LetCse", "eliminate_common_subexpressions"]
 class _LetCSE(Transformer):
     """Rewrites Let chains, reusing previously bound structurally-equal values."""
 
+    kinds = (Let,)
+
     def transform(self, node: Node) -> Node:
         if isinstance(node, Let):
             return self._transform_let_chain(node, [])
